@@ -22,10 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lifo import ExplorationRecord
-
-#: comparisons between accumulated float levels absorb association error
-LEVEL_TOL = 1e-12
+from .lifo import LEVEL_TOL, ExplorationRecord, excursion_components
 
 
 class QueueIdleError(ValueError):
@@ -295,7 +292,27 @@ def tree_distance_via_height(height: HeightPath, z: StepPath, s: float,
     return float(hs + ht - 2 * height.min_on(s, t))
 
 
-def excursions(z: StepPath, x_by_jump=None) -> list[ExcursionInterval]:
+@dataclass
+class ExcursionTable:
+    """The nontrivial excursions of a load path as arrays, in jump order.
+
+    Excursion ``c`` is made of jumps ``root_jump[c]`` to ``end_jump[c] - 1``,
+    starts at ``g[c]`` and ends at ``d[c]``.  ``component[i]`` is the
+    excursion of jump ``i``, -1 for a childless root."""
+
+    g: np.ndarray
+    d: np.ndarray
+    y_mass: np.ndarray
+    x_mass: np.ndarray
+    root_jump: np.ndarray
+    end_jump: np.ndarray              # one past the last member jump
+    component: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.g)
+
+
+def excursion_table(z: StepPath, x_by_jump=None) -> ExcursionTable:
     """Maximal intervals on which the path exceeds its running infimum.
 
     Each excursion is one nontrivial component: its length is the total
@@ -307,30 +324,32 @@ def excursions(z: StepPath, x_by_jump=None) -> list[ExcursionInterval]:
     if x_by_jump is None:
         x_by_jump = np.zeros(len(times))
     x_by_jump = np.asarray(x_by_jump, dtype=float)
-    post = np.cumsum(sizes) - times
-    pre = post - sizes
-    prior_min = np.minimum.accumulate(np.concatenate([[np.inf], pre]))[:-1]
-    is_root = pre <= prior_min + LEVEL_TOL
-    out: list[ExcursionInterval] = []
-    cur: ExcursionInterval | None = None
-    for i in range(len(times)):
-        if is_root[i]:
-            if sizes[i] <= 0.0:
-                cur = None           # isolated arrival, trivial component
-                continue
-            cur = ExcursionInterval(
-                g=float(times[i]), d=float(times[i] + sizes[i]),
-                y_mass=float(sizes[i]), x_mass=float(x_by_jump[i]),
-                component_id=len(out), root_jump=i, member_jumps=[i])
-            out.append(cur)
-        else:
-            if cur is None:
-                raise AssertionError("non-root jump outside any excursion")
-            cur.d += float(sizes[i])
-            cur.y_mass += float(sizes[i])
-            cur.x_mass += float(x_by_jump[i])
-            cur.member_jumps.append(i)
-    return out
+    is_root, comp = excursion_components(times, sizes)
+    roots = np.flatnonzero(is_root)
+    nontrivial = sizes[roots] > 0.0          # childless roots are isolated
+    if not np.all(nontrivial[comp[~is_root]]):
+        raise AssertionError("non-root jump outside any excursion")
+    # bincount adds each component's terms in jump order, from the root on
+    d = np.bincount(comp, weights=np.where(is_root, times + sizes, sizes))
+    y_mass = np.bincount(comp, weights=sizes)
+    x_mass = np.bincount(comp, weights=x_by_jump)
+    bounds = np.append(roots, len(times))
+    renumber = np.where(nontrivial, np.cumsum(nontrivial) - 1, -1)
+    return ExcursionTable(
+        g=times[roots[nontrivial]], d=d[nontrivial], y_mass=y_mass[nontrivial],
+        x_mass=x_mass[nontrivial], root_jump=roots[nontrivial],
+        end_jump=bounds[1:][nontrivial], component=renumber[comp])
+
+
+def excursions(z: StepPath, x_by_jump=None) -> list[ExcursionInterval]:
+    """``excursion_table`` as one ``ExcursionInterval`` per excursion."""
+    tab = excursion_table(z, x_by_jump)
+    return [ExcursionInterval(g=g, d=d, y_mass=ym, x_mass=xm, component_id=c,
+                              root_jump=a, member_jumps=list(range(a, b)))
+            for c, (g, d, ym, xm, a, b) in enumerate(zip(
+                tab.g.tolist(), tab.d.tolist(), tab.y_mass.tolist(),
+                tab.x_mass.tolist(), tab.root_jump.tolist(),
+                tab.end_jump.tolist()))]
 
 
 @dataclass
@@ -386,43 +405,63 @@ class SigmaTransfer:
 
 
 def sigma_transfer(record: ExplorationRecord) -> SigmaTransfer:
-    # event priorities at equal times: close piece, then jump, then open
-    events: list[tuple[float, int, float]] = []
-    x, delta = record.x, record.delta
-    for piece in record.serving:
-        events.append((piece.t0, 2, x[piece.black] / delta[piece.black]))
-        events.append((piece.t1, 0, 0.0))
-    for t, k, _load in record.point_services:
-        events.append((t, 1, x[k]))
-    events.sort(key=lambda e: (e[0], e[1]))
+    """The transfer built from the serving pieces and zero-service arrivals.
 
-    bt = [0.0]
-    lv = [0.0]
-    rv = [0.0]
-    sl = [0.0]
-    for t, prio, payload in events:
-        val_left = rv[-1] + sl[-1] * (t - bt[-1])
-        if bt[-1] != t:
-            bt.append(t)
-            lv.append(val_left)
-            rv.append(val_left)
-            sl.append(sl[-1])
-        if prio == 0:
-            sl[-1] = 0.0
-        elif prio == 1:
-            rv[-1] += payload
-        else:
-            sl[-1] = payload
-    return SigmaTransfer(np.asarray(bt), np.asarray(lv), np.asarray(rv),
-                         np.asarray(sl), total=float(rv[-1]))
+    Each piece closes (slope 0) at its end and opens (slope x/delta of its
+    black) at its start; each zero-service arrival jumps by x.  At equal
+    times closings act first, then jumps, then openings.
+    """
+    x, delta = record.x, record.delta
+    black = record.piece_black
+    n_p, n_q = len(black), len(record.point_t)
+    # each block is sorted by time, so a stable sort merges them and keeps
+    # the block order (closings, jumps, openings) at equal times
+    times = np.concatenate([record.piece_t1, record.point_t, record.piece_t0])
+    payload = np.concatenate([np.zeros(n_p), x[record.point_black],
+                              x[black] / delta[black]])
+    ev = np.argsort(times, kind="stable")
+    t = times[ev]
+    v = payload[ev]
+    is_jump = (ev >= n_p) & (ev < n_p + n_q)
+
+    # events at one time form a group; group 0 holds those at time 0
+    new = np.empty(len(t), dtype=bool)
+    new[:1] = t[:1] != 0.0
+    new[1:] = t[1:] != t[:-1]
+    group = np.cumsum(new)
+    bt = np.concatenate([[0.0], t[new]])
+    n_g = len(bt)
+
+    # slope after each group: set by its last closing or opening, else kept
+    setters = np.flatnonzero(~is_jump)
+    last = setters[np.diff(group[setters], append=n_g) != 0]
+    slope = np.zeros(n_g)
+    slope[group[last]] = v[last]
+    has = np.zeros(n_g, dtype=bool)
+    has[group[last]] = True
+    slope = slope[np.maximum.accumulate(np.where(has, np.arange(n_g), 0))]
+
+    # the value advances by slope * elapsed at each new time, then by each
+    # jump; a cumulative sum over that interleaving repeats the sequential
+    # recurrence exactly (the zeros in between change nothing)
+    steps = np.zeros(2 * len(t))
+    steps[0::2][new] = slope[:-1] * np.diff(bt)
+    steps[1::2] = np.where(is_jump, v, 0.0)
+    value = np.cumsum(steps)
+    left = np.concatenate([[0.0], value[0::2][new]])
+    right = np.zeros(n_g)
+    ends = np.flatnonzero(np.diff(group, append=n_g))
+    right[group[ends]] = value[1::2][ends]
+    return SigmaTransfer(bt, left, right, slope, total=float(right[-1]))
 
 
 def serving_sets(record: ExplorationRecord) -> dict[int, list[tuple[float, float]]]:
     """J_k: times at which black client k is served; a degenerate (t, t)
     marker when its service request is zero."""
     out: dict[int, list[tuple[float, float]]] = {}
-    for piece in record.serving:
-        out.setdefault(piece.black, []).append((piece.t0, piece.t1))
-    for t, k, _load in record.point_services:
+    for k, a, b in zip(record.piece_black.tolist(), record.piece_t0.tolist(),
+                       record.piece_t1.tolist()):
+        out.setdefault(k, []).append((a, b))
+    for k, t in zip(record.point_black.tolist(), record.point_t.tolist()):
         out.setdefault(k, []).append((t, t))
     return out

@@ -73,13 +73,6 @@ class BipartiteGraph:
         """Dump format used by golden tests: one 'b<i> w<j>' per line."""
         return "\n".join(f"b{i} w{j}" for i, j in self.edges)
 
-    def to_text(self) -> str:
-        """Edge list plus the two weight vectors."""
-        head = ["x " + " ".join(repr(v) for v in self.x_weights),
-                "y " + " ".join(repr(v) for v in self.y_weights),
-                f"z {self.z!r}"]
-        return "\n".join(head + [self.to_edge_list()])
-
 
 def sample_direct(pair_or_x, y_weights=None, z=None, seed=None) -> BipartiteGraph:
     """Sample the graph edge by edge: each (i, j) present independently

@@ -135,46 +135,41 @@ class RunReport:
 # Poissonised surplus edges
 
 
-@dataclass
-class _TimelinePiece:
-    t0: float
-    t1: float
-    r0: float                        # reflected load at t0
-    slope: float                     # -1 while serving, 0 while idle
-    black: int | None
-    jumped: bool                     # load jumped upward at t0
+def _timeline(record: lifo.ExplorationRecord):
+    """The serving pieces with the idle stretches between them filled in.
 
-    def r_end(self) -> float:
-        return self.r0 + self.slope * (self.t1 - self.t0)
-
-
-def _build_timeline(record: lifo.ExplorationRecord) -> list[_TimelinePiece]:
-    pieces = sorted(record.serving, key=lambda p: p.t0)
-    out: list[_TimelinePiece] = []
-    cursor = 0.0
-    prev_end = 0.0
-    for p in pieces:
-        if p.t0 > cursor:
-            out.append(_TimelinePiece(cursor, p.t0, 0.0, 0.0, None, False))
-            prev_end = 0.0
-        jumped = p.load0 > prev_end + 1e-12
-        out.append(_TimelinePiece(p.t0, p.t1, p.load0, -1.0, p.black, jumped))
-        cursor = p.t1
-        prev_end = p.load0 - (p.t1 - p.t0)
-    return out
+    Returns the timeline index of each serving piece and, per timeline
+    piece, its end time, the reflected load at its end and the black in
+    service (-1 while idle); the last array has one more -1 for the time
+    after the last piece."""
+    t0, t1 = record.piece_t0, record.piece_t1
+    idle = t0 > np.concatenate([[0.0], t1[:-1]])     # idle piece before
+    position = np.arange(len(t0)) + np.cumsum(idle)
+    size = len(t0) + int(idle.sum())
+    end_t = np.empty(size)
+    end_t[position] = t1
+    end_t[position[idle] - 1] = t0[idle]
+    end_level = np.zeros(size)
+    end_level[position] = record.piece_load0 - (t1 - t0)
+    black = np.full(size + 1, -1)
+    black[position] = record.piece_black
+    return position, end_t, end_level, black
 
 
-def _locate_previous(timeline: list[_TimelinePiece], j_atom: int,
-                     y: float) -> tuple[float, int | None]:
-    """Largest time before the atom's piece at which the load was <= y,
-    together with the client arriving there (the landing is always a piece
-    boundary where the load jumps above y)."""
-    for j in range(j_atom - 1, -1, -1):
-        piece = timeline[j]
-        if piece.r_end() <= y + 1e-12:
-            nxt = timeline[j + 1]
-            return piece.t1, nxt.black
-    return 0.0, None
+def _locate_previous(end_level: np.ndarray, j_atom: int, y: float) -> int:
+    """Last timeline piece before ``j_atom`` that ends with the load at or
+    below y, or -1: the load sat at or below y last at that piece's end,
+    and the client served next arrived there.  Looks back through windows
+    of growing width."""
+    bound = y + 1e-12
+    hi, width = j_atom, 64
+    while hi > 0:
+        lo = max(hi - width, 0)
+        hits = np.flatnonzero(end_level[lo:hi] <= bound)
+        if len(hits):
+            return lo + int(hits[-1])
+        hi, width = lo, 4 * width
+    return -1
 
 
 def poissonized_surplus(record: lifo.ExplorationRecord,
@@ -190,65 +185,53 @@ def poissonized_surplus(record: lifo.ExplorationRecord,
     """
     rng = np.random.default_rng(seed)
     z = record.z
-    timeline = _build_timeline(record)
     x, delta = record.x, record.delta
-
-    areas = []
-    kinds = []                       # ("piece", timeline index) or ("point", k)
-    for j, piece in enumerate(timeline):
-        if piece.black is None:
-            continue
-        length = piece.t1 - piece.t0
-        rate = x[piece.black] / delta[piece.black]
-        areas.append(rate * (piece.r0 * length - 0.5 * length ** 2))
-        kinds.append(("piece", j))
-    point_lookup = {}
-    for t, k, load in record.point_services:
-        if load > 0.0:
-            areas.append(x[k] * load)
-            kinds.append(("point", len(point_lookup)))
-            point_lookup[len(point_lookup)] = (t, k, load)
-    areas = np.asarray(areas, dtype=float)
+    position, end_t, end_level, tl_black = _timeline(record)
+    t0, r0, black = record.piece_t0, record.piece_load0, record.piece_black
+    length = record.piece_t1 - t0
+    rate = x[black] / delta[black]
+    # float_power calls the C library's pow, as ``length ** 2`` on a scalar
+    # does; squaring rounds differently on about one input in a thousand
+    piece_area = rate * (r0 * length - 0.5 * np.float_power(length, 2))
+    loaded = np.flatnonzero(record.point_load > 0.0)
+    areas = np.concatenate([piece_area, x[record.point_black[loaded]]
+                            * record.point_load[loaded]])
     total_area = float(areas.sum())
     count = int(rng.poisson(total_area / z)) if total_area > 0 else 0
     if count == 0:
         return MarkSet(np.empty((0, 2)), np.empty((0, 2))), []
 
-    boundary = {p.t0: j for j, p in enumerate(timeline)}
+    # a zero-service arrival sits in the timeline piece that follows the
+    # last serving piece closed before it
+    point_piece = np.concatenate([[0], position + 1])[record.point_piece]
     pairs = np.empty((count, 2))
     atoms = np.empty((count, 2))
     edges: list[tuple[int, int]] = []
     chosen = rng.choice(len(areas), size=count, p=areas / total_area)
-    for idx, which in enumerate(chosen):
-        kind, ref = kinds[which]
-        if kind == "piece":
-            piece = timeline[ref]
-            length = piece.t1 - piece.t0
+    for idx, which in enumerate(chosen.tolist()):
+        if which < len(t0):
+            r, span = r0[which], length[which]
             u = rng.random()
             # inverse CDF of the linear density r0 - tau on [0, length]
-            area_t = piece.r0 * length - 0.5 * length ** 2
-            tau = piece.r0 - math.sqrt(max(piece.r0 ** 2 - 2.0 * u * area_t, 0.0))
-            tau = min(tau, length)
-            t = piece.t0 + tau
-            refl_t = piece.r0 - tau
-            y = rng.uniform(0.0, refl_t)
-            s = float(sigma.value(piece.t0)) + (x[piece.black] / delta[piece.black]) * tau
-            b = piece.black
-            j_atom = ref
+            area_t = r * span - 0.5 * span ** 2
+            tau = r - math.sqrt(max(r ** 2 - 2.0 * u * area_t, 0.0))
+            tau = min(tau, span)
+            t = t0[which] + tau
+            y = rng.uniform(0.0, r - tau)
+            s = float(sigma.value(t0[which])) + rate[which] * tau
+            b = black[which]
+            j_atom = position[which]
         else:
-            t, k, load = point_lookup[ref]
-            y = rng.uniform(0.0, load)
+            q = loaded[which - len(t0)]
+            t, b = record.point_t[q], record.point_black[q]
+            y = rng.uniform(0.0, record.point_load[q])
             s = rng.uniform(sigma.left_value(t), float(sigma.value(t)))
-            b = k
-            j_atom = boundary.get(t)
-            if j_atom is None:
-                # the zero-service arrival splits a serving piece; find the
-                # piece starting at t
-                j_atom = next(j for j, p in enumerate(timeline) if p.t0 == t)
-        t_prev, b_prev = _locate_previous(timeline, j_atom, y)
-        pairs[idx] = (t, t_prev)
+            j_atom = point_piece[q]
+        j = _locate_previous(end_level, j_atom, y)
+        pairs[idx] = (t, end_t[j] if j >= 0 else 0.0)
         atoms[idx] = (s, y)
-        if b_prev is not None and b_prev != b:
+        b_prev = tl_black[j + 1] if j >= 0 else -1
+        if b_prev >= 0 and b_prev != b:
             edges.append((int(b), int(b_prev)))
     return MarkSet(pairs, atoms), edges
 
@@ -285,48 +268,43 @@ def _full_replicate(pair: CriticalPair, top_k: int, seed: int) -> ReplicateSumma
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     _marks, surplus_pairs = poissonized_surplus(record, sigma, rng)
 
-    exc = encoding.excursions(zpaths.queue_load,
-                              x_by_jump=x[record.order])
+    exc = encoding.excursion_table(zpaths.queue_load,
+                                   x_by_jump=x[record.order])
     kappa = len(exc)
     if kappa == 0:
         return ReplicateSummary(0, seed, 0, [], [])
-    x_mass = np.array([e.x_mass for e in exc])
-    y_mass = np.array([e.y_mass for e in exc])
-    comp_of_black = np.full(record.n, -1, dtype=int)
-    for e in exc:
-        for j in e.member_jumps:
-            comp_of_black[record.order[j]] = e.component_id
+    comp_of_black = np.empty(record.n, dtype=int)
+    comp_of_black[record.order] = exc.component
+    surplus = np.array(sorted(set(surplus_pairs)), dtype=int).reshape(-1, 2)
+    surplus_comp = comp_of_black[surplus[:, 0]]
     surplus_per_comp = np.zeros(kappa, dtype=int)
-    surplus_by_comp: dict[int, set] = {}
-    for b, b2 in set(surplus_pairs):
-        c = comp_of_black[b]
-        surplus_per_comp[c] += 1
-        surplus_by_comp.setdefault(c, set()).add((b, b2))
+    np.add.at(surplus_per_comp, surplus_comp, 1)
 
-    by_x = np.argsort(-x_mass, kind="stable")
-    by_y = np.argsort(-y_mass, kind="stable")
+    by_x = np.argsort(-exc.x_mass, kind="stable")
+    by_y = np.argsort(-exc.y_mass, kind="stable")
     y_rank_of = np.empty(kappa, dtype=int)
     y_rank_of[by_y] = np.arange(1, kappa + 1)
 
     tops = []
-    for c in by_x[:top_k]:
-        e = exc[int(c)]
-        blacks = [int(record.order[j]) for j in e.member_jumps]
-        diam = _component_diameter(record, blacks,
-                                   surplus_by_comp.get(int(c), set()))
+    for c in by_x[:top_k].tolist():
+        blacks = record.order[exc.root_jump[c]:exc.end_jump[c]]
+        shortcuts = surplus[surplus_comp == c].tolist()
         tops.append(ComponentSummary(
-            float(x_mass[c]), float(y_mass[c]), int(record.order[e.root_jump]),
-            surplus_count=int(surplus_per_comp[c]), diameter_bound=diam,
+            float(exc.x_mass[c]), float(exc.y_mass[c]), int(blacks[0]),
+            surplus_count=int(surplus_per_comp[c]),
+            diameter_bound=_component_diameter(record, blacks, shortcuts),
             y_rank=int(y_rank_of[c])))
-    y_ranked = sorted((float(v) for v in y_mass), reverse=True)[:top_k]
+    y_ranked = sorted(exc.y_mass.tolist(), reverse=True)[:top_k]
     return ReplicateSummary(0, seed, kappa, tops, y_ranked)
 
 
-def _component_diameter(record: lifo.ExplorationRecord, blacks: list[int],
-                        surplus: set[tuple[int, int]]) -> int:
+def _component_diameter(record: lifo.ExplorationRecord, blacks: np.ndarray,
+                        surplus: list[list[int]]) -> int:
     """Double BFS sweep on the component of the distance-modified graph
-    (forest plus black-to-black shortcuts)."""
-    whites = sorted({int(j) for b in blacks for j in record.offspring[b]})
+    (forest plus black-to-black shortcuts); ``blacks`` in exploration
+    order, root first."""
+    whites = np.flatnonzero(np.isin(record.parent_black, blacks)).tolist()
+    blacks = blacks.tolist()
     bid = {b: i for i, b in enumerate(blacks)}
     wid = {w: len(blacks) + i for i, w in enumerate(whites)}
     adj: list[list[int]] = [[] for _ in range(len(blacks) + len(whites))]
@@ -335,12 +313,11 @@ def _component_diameter(record: lifo.ExplorationRecord, blacks: list[int],
         adj[u].append(v)
         adj[v].append(u)
 
-    for w in whites:
-        add(bid[int(record.parent_black[w])], wid[w])
-    for b in blacks:
-        pw = record.parent_white[b]
+    for w, b in zip(whites, record.parent_black[whites].tolist()):
+        add(bid[b], wid[w])
+    for b, pw in zip(blacks, record.parent_white[blacks].tolist()):
         if pw >= 0:
-            add(bid[b], wid[int(pw)])
+            add(bid[b], wid[pw])
     for b, b2 in surplus:
         add(bid[b], bid[b2])
 

@@ -24,6 +24,9 @@ import numpy as np
 
 from .graph_core import BipartiteGraph
 
+#: comparisons between accumulated float levels absorb association error
+LEVEL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ClockSet:
@@ -68,36 +71,54 @@ class QueueState:
 
 
 @dataclass
-class ServingPiece:
-    """Maximal interval on which one black client of the aggregated queue is
-    served.  ``load0`` is the total remaining service at ``t0``; the load
-    decreases with unit slope on the piece.  ``starts_with_arrival`` marks
-    pieces opened by a black arrival (the load jumped at t0)."""
-
-    t0: float
-    t1: float
-    black: int
-    load0: float
-    starts_with_arrival: bool
-
-
-@dataclass
 class ExplorationRecord:
+    """Outcome of the queue construction, held as flat arrays.
+
+    Per black label ``v``: its white-dial interval ``intervals[v]``, its
+    total child service ``delta[v]``, its parent white ``parent_white[v]``
+    (-1 for roots) and its offspring ``worder[offspring_lo[v]:offspring_hi[v]]``
+    in arrival order, ``worder`` being the whites sorted by clock.  Per
+    white: its parent black ``parent_black[j]`` (-1 if never queued).
+
+    Serving pieces, in time order: piece ``i`` serves black
+    ``piece_black[i]`` on ``[piece_t0[i], piece_t1[i])``, starting from the
+    total remaining service ``piece_load0[i]``, which then falls with unit
+    slope.  Zero-service arrivals, in time order: black ``point_black[q]``
+    arrives at ``point_t[q]`` with total load ``point_load[q]`` just after,
+    when ``point_piece[q]`` serving pieces have closed.
+
+    Candidates: at the ``k``-th interruption, exploration step
+    ``cand_step[k]`` brings black ``cand_black[k]`` while the queue, read
+    from its head, holds ``cand_white[s:e]`` with remaining services
+    ``cand_remaining[s:e]``, where ``s, e = cand_ptr[k], cand_ptr[k + 1]``.
+    """
+
     x: np.ndarray
     y: np.ndarray
     z: float
     clocks: ClockSet
     order: np.ndarray                 # blacks in exploration (clock) order
+    worder: np.ndarray                # whites in clock order
     intervals: np.ndarray             # (n, 2): white-dial interval per black
-    offspring: list[np.ndarray]       # whites found by each black, arrival order
-    delta: np.ndarray                 # total child service per black
-    parent_white: np.ndarray          # parent of each black in the forest, -1 for roots
-    parent_black: np.ndarray          # parent of each white, -1 if isolated
-    roots: list[int]
+    offspring_lo: np.ndarray
+    offspring_hi: np.ndarray
+    delta: np.ndarray
+    parent_white: np.ndarray
+    parent_black: np.ndarray
     steps: int
-    candidates: list[tuple[int, int, list[tuple[int, float]]]]
-    serving: list[ServingPiece]
-    point_services: list[tuple[float, int, float]]   # (t, black, load) for zero-service arrivals
+    piece_t0: np.ndarray
+    piece_t1: np.ndarray
+    piece_black: np.ndarray
+    piece_load0: np.ndarray
+    point_t: np.ndarray
+    point_black: np.ndarray
+    point_load: np.ndarray
+    point_piece: np.ndarray
+    cand_step: np.ndarray
+    cand_black: np.ndarray
+    cand_ptr: np.ndarray
+    cand_white: np.ndarray
+    cand_remaining: np.ndarray
     queue_history: list[QueueState] | None = None
 
     @property
@@ -108,14 +129,32 @@ class ExplorationRecord:
     def m(self) -> int:
         return len(self.y)
 
+    @property
+    def roots(self) -> list[int]:
+        """Tree roots in exploration order."""
+        return self.order[self.parent_white[self.order] < 0].tolist()
+
+    @property
+    def candidates(self) -> list[tuple[int, int, list[tuple[int, float]]]]:
+        """(step, black, [(white, remaining), ...] from the queue head) per
+        interruption."""
+        ptr = self.cand_ptr.tolist()
+        white = self.cand_white.tolist()
+        remaining = self.cand_remaining.tolist()
+        return [(s, v, list(zip(white[a:b], remaining[a:b])))
+                for s, v, a, b in zip(self.cand_step.tolist(),
+                                      self.cand_black.tolist(),
+                                      ptr[:-1], ptr[1:])]
+
     def forest_edges(self) -> list[tuple[int, int]]:
-        edges = [(int(self.parent_black[j]), j) for j in range(self.m)
-                 if self.parent_black[j] >= 0]
-        edges += [(i, int(self.parent_white[i])) for i in range(self.n)
-                  if self.parent_white[i] >= 0]
+        whites = np.flatnonzero(self.parent_black >= 0)
+        blacks = np.flatnonzero(self.parent_white >= 0)
+        edges = list(zip(self.parent_black[whites].tolist(), whites.tolist()))
+        edges += zip(blacks.tolist(), self.parent_white[blacks].tolist())
         return sorted(set(edges))
 
     def to_json(self) -> str:
+        worder = self.worder.tolist()
         payload = {
             "x": self.x.tolist(),
             "y": self.y.tolist(),
@@ -124,7 +163,9 @@ class ExplorationRecord:
             "white_clocks": self.clocks.white.tolist(),
             "order": self.order.tolist(),
             "intervals": self.intervals.tolist(),
-            "offspring": [o.tolist() for o in self.offspring],
+            "offspring": [worder[a:b] for a, b in
+                          zip(self.offspring_lo.tolist(),
+                              self.offspring_hi.tolist())],
             "delta": self.delta.tolist(),
             "parent_white": self.parent_white.tolist(),
             "parent_black": self.parent_black.tolist(),
@@ -142,6 +183,19 @@ class ExplorationRecord:
                 for q in self.queue_history
             ]
         return json.dumps(payload, sort_keys=True)
+
+
+def _offspring_service(ys: np.ndarray, lo: np.ndarray,
+                       hi: np.ndarray) -> np.ndarray:
+    """``ys[lo[k]:hi[k]].sum()`` for every k.  Rows of equal length are
+    summed as one (rows, length) block, which adds in the order a 1-D sum
+    does; cumulative-sum differences would not."""
+    counts = hi - lo
+    out = np.zeros(len(lo))
+    for length in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == length)
+        out[rows] = ys[lo[rows, None] + np.arange(length)].sum(axis=1)
+    return out
 
 
 def explore(x, y, z: float, clocks: ClockSet,
@@ -166,105 +220,123 @@ def explore(x, y, z: float, clocks: ClockSet,
     cuts = np.concatenate([[0.0], np.cumsum(x[order])])
     lo = np.searchsorted(ew_sorted, cuts[:-1], side="right")
     hi = np.searchsorted(ew_sorted, cuts[1:], side="right")
+    ys = y[worder]
+    delta_k = _offspring_service(ys, lo, hi)     # by exploration position
 
-    intervals = np.zeros((n, 2))
-    offspring: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    delta = np.zeros(n)
-    for k in range(n):
-        v = order[k]
-        intervals[v] = (cuts[k], cuts[k + 1])
-        kids = worder[lo[k]:hi[k]]
-        offspring[v] = kids
-        delta[v] = y[kids].sum()
-
-    parent_white = np.full(n, -1, dtype=int)
+    intervals = np.empty((n, 2))
+    intervals[order, 0] = cuts[:-1]
+    intervals[order, 1] = cuts[1:]
+    delta = np.empty(n)
+    delta[order] = delta_k
+    offspring_lo = np.empty(n, dtype=int)
+    offspring_hi = np.empty(n, dtype=int)
+    offspring_lo[order] = lo
+    offspring_hi[order] = hi
+    # every black is explored, so every white inside the dial is queued by
+    # the black whose interval holds its clock
     parent_black = np.full(m, -1, dtype=int)
-    roots: list[int] = []
-    candidates: list[tuple[int, int, list[tuple[int, float]]]] = []
-    serving: list[ServingPiece] = []
-    point_services: list[tuple[float, int, float]] = []
+    if n:
+        parent_black[worder[lo[0]:hi[-1]]] = np.repeat(order, hi - lo)
+
+    # python scalars in the loop: same IEEE arithmetic, less overhead
+    tb = eb[order].tolist()
+    dk = delta_k.tolist()
+    lo_l, hi_l = lo.tolist(), hi.tolist()
+    wl, yl = worder.tolist(), ys.tolist()
+
+    p_t0: list[float] = []
+    p_t1: list[float] = []
+    p_white: list[int] = []           # white in service; its parent is served
+    p_load: list[float] = []
+    q_t: list[float] = []
+    q_k: list[int] = []
+    q_load: list[float] = []
+    q_piece: list[int] = []
+    c_step: list[int] = []
+    c_k: list[int] = []
+    c_head: list[int] = []
+    c_len: list[int] = []
+    c_white: list[int] = []
+    c_rem: list[float] = []
     history: list[QueueState] | None = [] if record_queue else None
 
-    # queue kept as a stack: python-list end = queue head (served first)
-    queue: list[list] = []          # [white_id, remaining]
+    # queue as two parallel stacks: list end = queue head (served first)
+    qw: list[int] = []
+    qr: list[float] = []
     tau_b = 0.0
-    tau_w = 0.0
     load = 0.0
     steps = 0
-    kptr = 0                        # next unexplored black, in clock order
-    arrival_opened = False          # pending piece opened by an arrival
-
-    def push_offspring(v: int):
-        kids = offspring[v]
-        for j in kids:
-            parent_black[j] = v
-        for j in kids[::-1]:        # earliest arrival ends on top (head)
-            queue.append([int(j), y[j]])
-
-    def snapshot():
-        if history is not None:
-            history.append(QueueState(
-                entries=[(int(j), float(r)) for j, r in reversed(queue)],
-                tau_b=tau_b, tau_w=tau_w, step=steps))
-
-    while True:
-        if not queue:
-            if kptr >= n:
-                break               # stop rule: idle and no clock beyond the dial
-            steps += 1
-            v = int(order[kptr])
-            kptr += 1
-            tau_b = eb[v]
-            tau_w += x[v]
-            roots.append(v)
-            push_offspring(v)
-            load += delta[v]
-            if delta[v] == 0.0:
-                point_services.append((tau_b, v, load))
-            arrival_opened = True
-            snapshot()
-            continue
-
-        head = queue[-1]
-        t_next = eb[order[kptr]] if kptr < n else math.inf
-        finish = tau_b + head[1]
-        if t_next < finish:
-            # interruption: the next black becomes a child of the serving white
-            steps += 1
-            v = int(order[kptr])
-            kptr += 1
-            serving.append(ServingPiece(tau_b, t_next, int(parent_black[head[0]]),
-                                        load, arrival_opened))
-            elapsed = t_next - tau_b
-            head[1] -= elapsed
-            load -= elapsed
-            parent_white[v] = head[0]
-            candidates.append((steps, v,
-                               [(int(j), float(r)) for j, r in reversed(queue)]))
-            tau_b = t_next
-            tau_w += x[v]
-            push_offspring(v)
-            load += delta[v]
-            if delta[v] == 0.0:
-                point_services.append((tau_b, v, load))
-            arrival_opened = True
-            snapshot()
+    k = 0                           # next unexplored black, in clock order
+    while qw or k < n:              # stop rule: idle and no clock beyond the dial
+        steps += 1
+        arrival = True
+        if qw:
+            rem = qr[-1]
+            finish = tau_b + rem
+            p_t0.append(tau_b)
+            p_white.append(qw[-1])
+            p_load.append(load)
+            if k < n and tb[k] < finish:
+                # interruption: the next black becomes a child of the
+                # serving white
+                t_next = tb[k]
+                p_t1.append(t_next)
+                elapsed = t_next - tau_b
+                qr[-1] = rem - elapsed
+                load -= elapsed
+                c_step.append(steps)
+                c_k.append(k)
+                c_head.append(qw[-1])
+                c_len.append(len(qw))
+                c_white.extend(reversed(qw))
+                c_rem.extend(reversed(qr))
+                tau_b = t_next
+            else:
+                # the head white is served out in full (exact ties count
+                # as completion)
+                p_t1.append(finish)
+                load -= rem
+                tau_b = finish
+                qw.pop()
+                qr.pop()
+                arrival = False
         else:
-            # the head white is served out in full
-            steps += 1
-            serving.append(ServingPiece(tau_b, finish, int(parent_black[head[0]]),
-                                        load, arrival_opened))
-            load -= head[1]
-            tau_b = finish
-            queue.pop()
-            arrival_opened = False
-            snapshot()
+            tau_b = tb[k]           # empty queue: the next black roots a tree
+        if arrival:
+            a, b = lo_l[k], hi_l[k]
+            qw.extend(reversed(wl[a:b]))    # earliest arrival ends on top
+            qr.extend(reversed(yl[a:b]))
+            load += dk[k]
+            if dk[k] == 0.0:
+                q_t.append(tau_b)
+                q_k.append(k)
+                q_load.append(load)
+                q_piece.append(len(p_t0))
+            k += 1
+        if history is not None:
+            history.append(QueueState(list(zip(reversed(qw), reversed(qr))),
+                                      tau_b, cuts[k], steps))
 
+    parent_white = np.full(n, -1, dtype=int)
+    cand_black = order[np.asarray(c_k, dtype=int)]
+    parent_white[cand_black] = c_head
     return ExplorationRecord(
-        x=x, y=y, z=z, clocks=clocks, order=order, intervals=intervals,
-        offspring=offspring, delta=delta, parent_white=parent_white,
-        parent_black=parent_black, roots=roots, steps=steps,
-        candidates=candidates, serving=serving, point_services=point_services,
+        x=x, y=y, z=z, clocks=clocks, order=order, worder=worder,
+        intervals=intervals, offspring_lo=offspring_lo,
+        offspring_hi=offspring_hi, delta=delta, parent_white=parent_white,
+        parent_black=parent_black, steps=steps,
+        piece_t0=np.asarray(p_t0, dtype=float),
+        piece_t1=np.asarray(p_t1, dtype=float),
+        piece_black=parent_black[np.asarray(p_white, dtype=int)],
+        piece_load0=np.asarray(p_load, dtype=float),
+        point_t=np.asarray(q_t, dtype=float),
+        point_black=order[np.asarray(q_k, dtype=int)],
+        point_load=np.asarray(q_load, dtype=float),
+        point_piece=np.asarray(q_piece, dtype=int),
+        cand_step=np.asarray(c_step, dtype=int), cand_black=cand_black,
+        cand_ptr=np.concatenate([[0], np.cumsum(c_len, dtype=int)]),
+        cand_white=np.asarray(c_white, dtype=int),
+        cand_remaining=np.asarray(c_rem, dtype=float),
         queue_history=history)
 
 
@@ -333,13 +405,12 @@ def sample_surplus_direct(record: ExplorationRecord, z: float,
     edge once the simple graph is assembled.
     """
     rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int]] = []
-    for _step, v, cand in record.candidates:
-        for j, remaining in cand:
-            p = -math.expm1(-remaining * record.x[v] / z)
-            if rng.random() < p:
-                edges.append((v, j))
-    return edges
+    blacks = np.repeat(record.cand_black, np.diff(record.cand_ptr))
+    exponent = -record.cand_remaining * record.x[blacks] / z
+    # math.expm1, not np.expm1: the two differ in the last bit
+    p = np.array([-math.expm1(e) for e in exponent.tolist()])
+    keep = rng.random(len(p)) < p
+    return list(zip(blacks[keep].tolist(), record.cand_white[keep].tolist()))
 
 
 def assemble_graph(record: ExplorationRecord,
@@ -361,6 +432,22 @@ def project_surplus(record: ExplorationRecord,
             raise ValueError("surplus edge endpoint never joined the queue")
         out.add((i, pb))
     return out
+
+
+def excursion_components(times, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Excursions above the running minimum of a load path with drift -1
+    and jumps ``sizes`` at increasing ``times``.
+
+    A jump opens a new excursion when its pre-jump level is at or below
+    every earlier pre-jump level, up to ``LEVEL_TOL``.  Returns the root
+    flag of each jump and the index of its excursion among all of them,
+    zero-length ones (childless roots) included.
+    """
+    post = np.cumsum(sizes) - times         # path value right after each jump
+    pre = post - sizes                      # and just before
+    prior_min = np.minimum.accumulate(np.concatenate([[np.inf], pre]))[:-1]
+    is_root = pre <= prior_min + LEVEL_TOL
+    return is_root, np.cumsum(is_root) - 1
 
 
 def component_masses(x, y, z: float, clocks: ClockSet):
@@ -385,11 +472,7 @@ def component_masses(x, y, z: float, clocks: ClockSet):
     idx = np.searchsorted(ew_sorted, cuts, side="right")
     delta = cum_y[idx[1:]] - cum_y[idx[:-1]]
 
-    post = np.cumsum(delta) - tb            # path value right after each jump
-    pre = post - delta                      # and just before
-    prior_min = np.minimum.accumulate(np.concatenate([[np.inf], pre]))[:-1]
-    is_root = pre <= prior_min + 1e-12
-    comp = np.cumsum(is_root) - 1
+    is_root, comp = excursion_components(tb, delta)
     ncomp = int(comp[-1]) + 1 if len(comp) else 0
     y_mass = np.bincount(comp, weights=delta, minlength=ncomp)
     x_mass = np.bincount(comp, weights=x[order], minlength=ncomp)

@@ -102,6 +102,30 @@ def test_poissonized_surplus_hand_fixture():
     assert below_plateau_targets == {0.1}
 
 
+def test_point_atom_of_childless_black_mid_excursion():
+    # b0 roots at 0.1 with w0 (service 2); b1 interrupts at 0.6 bringing w1
+    # (service 3); childless b2 interrupts w1 at 1.1 with the load at 4.  A
+    # point atom at level y pairs b2 with the client that arrived when the
+    # load last sat at or below y: b1 at 0.6 (load 1.5) or b0 at 0.1
+    x = np.array([1.0, 1.0, 3.0])
+    y = np.array([2.0, 3.0])
+    rec = lifo.explore(x, y, 4.0, lifo.ClockSet(np.array([0.1, 0.6, 1.1]),
+                                                 np.array([0.5, 1.5])))
+    assert rec.point_black.tolist() == [2] and rec.point_load.tolist() == [4.0]
+    sigma = encoding.sigma_transfer(rec)
+    lo, hi = sigma.left_value(1.1), float(sigma.value(1.1))
+    seen = set()
+    for seed in range(100):
+        marks, edges = harness.poissonized_surplus(rec, sigma, seed)
+        for (t, t_prev), (s, level) in zip(marks.pairs, marks.atoms):
+            if t == 1.1 and lo <= s <= hi:
+                expect = (0.6, (2, 1)) if level >= 1.5 - 1e-12 else (0.1, (2, 0))
+                assert t_prev == expect[0]
+                assert expect[1] in edges
+                seen.add(expect[1])
+    assert seen == {(2, 0), (2, 1)}
+
+
 def test_two_surplus_samplers_agree_chisquare():
     x = np.full(4, 1.2)
     y = np.full(4, 1.1)
@@ -195,6 +219,12 @@ def test_worker_pool_matches_sequential():
     assert [r.y_ranked_masses for r in seq.replicates] == \
            [r.y_ranked_masses for r in par.replicates]
     assert [r.seed for r in seq.replicates] == [r.seed for r in par.replicates]
+
+
+def test_worker_pool_matches_sequential_full_features():
+    seq = harness.run_discrete(small_config(replicates=12))
+    par = harness.run_discrete(small_config(replicates=12, workers=2))
+    assert seq.to_dict()["replicates"] == par.to_dict()["replicates"]
 
 
 def test_compare_rejects_rank_mismatch():
