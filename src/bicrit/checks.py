@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoding, lifo
-from .graph_core import components_and_distances, intersection_graph, isometry_check
+from .graph_core import (adjacency, components_and_distances, intersection_graph,
+                         isometry_check)
 from .metric_space import bfs_all_pairs, distortion_certificate
 from .weights import (WeightSpec, discrete_table, exponential, point_mass,
                       power_tail, sample_weights, uniform)
@@ -146,12 +147,9 @@ def check_instance(seed: int, max_side: int = 50,
 def _check_tree_distances(record, height, zpath, rng) -> bool:
     n = record.n
     bparents, _ = lifo.black_forest(record)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        if bparents[i] >= 0:
-            adj[i].append(int(bparents[i]))
-            adj[int(bparents[i])].append(i)
-    oracle = bfs_all_pairs(adj)
+    child = np.flatnonzero(bparents >= 0)
+    oracle = bfs_all_pairs(adjacency(n, child.tolist(),
+                                     bparents[child].tolist()))
 
     serve_time = {}
     for k, spans in encoding.serving_sets(record).items():
@@ -170,20 +168,13 @@ def _check_tree_distances(record, height, zpath, rng) -> bool:
 
 def _check_distortion(record, graph, gd, surplus) -> CheckOutcome:
     n, m = record.n, record.m
-    adj_orig: list[list[int]] = [[] for _ in range(n + m)]
-    for i, j in graph.edges:
-        adj_orig[i].append(n + j)
-        adj_orig[n + j].append(i)
-    adj_mod: list[list[int]] = [[] for _ in range(n + m)]
-    for i, j in record.forest_edges():
-        adj_mod[i].append(n + j)
-        adj_mod[n + j].append(i)
-    for b, b2 in lifo.project_surplus(record, surplus):
-        if b != b2:
-            adj_mod[b].append(b2)
-            adj_mod[b2].append(b)
-    d_orig = bfs_all_pairs(adj_orig)
-    d_mod = bfs_all_pairs(adj_mod)
+    forest = record.forest_edges()
+    shortcuts = [(b, b2) for b, b2 in lifo.project_surplus(record, surplus)
+                 if b != b2]
+    us = [i for i, _ in forest] + [b for b, _ in shortcuts]
+    vs = [n + j for _, j in forest] + [b2 for _, b2 in shortcuts]
+    d_orig = bfs_all_pairs(gd.adj)
+    d_mod = bfs_all_pairs(adjacency(n + m, us, vs))
     ok = True
     detail = ""
     for comp in gd.components:

@@ -8,7 +8,9 @@ Subcommands:
   clustering  Monte Carlo clustering coefficient
 
 Configs are JSON files mirroring ExperimentConfig; see the README for the
-schema.  Exit status is nonzero whenever a requested check fails.
+schema.  Exit status is nonzero whenever a requested check fails, and 2,
+with one ``bicrit: error:`` line on stderr, for an invalid config or
+argument.  Warnings that do not change the results go to stderr.
 """
 
 from __future__ import annotations
@@ -23,24 +25,31 @@ import numpy as np
 from . import checks, harness
 from .graph_core import clustering_estimate
 from .limit_sim import LimitParams, height_from_z, rank_excursions, simulate_z
-from .weights import point_mass
+from .weights import CriticalityError, InvalidSpecError, point_mass
 
 
 def _load_config(path: str, overrides: argparse.Namespace) -> harness.ExperimentConfig:
     with open(path) as fh:
-        cfg = harness.ExperimentConfig.from_dict(json.load(fh))
-    if overrides.seed is not None:
-        cfg.seed = overrides.seed
-    if getattr(overrides, "replicates", None) is not None:
-        cfg.replicates = overrides.replicates
-    if getattr(overrides, "out", None) is not None:
-        cfg.out_dir = overrides.out
-    return cfg
+        d = json.load(fh)
+    for key, value in (("seed", overrides.seed),
+                       ("replicates", getattr(overrides, "replicates", None)),
+                       ("out_dir", getattr(overrides, "out", None))):
+        if value is not None:
+            d[key] = value
+    return harness.ExperimentConfig.from_dict(d)
+
+
+def _warn_partial(report: harness.RunReport) -> None:
+    if report.partial:
+        print(f"bicrit: warning: out of memory; the report holds "
+              f"{len(report.replicates)} of {report.config['replicates']} "
+              f"replicates", file=sys.stderr)
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, args)
     report = harness.run_discrete(cfg)
+    _warn_partial(report)
     out = cfg.out_dir or "bicrit-out"
     written = harness.emit(report, out)
     print(f"replicates={len(report.replicates)} "
@@ -58,6 +67,7 @@ def _cmd_limit(args) -> int:
     os.makedirs(out, exist_ok=True)
     seq = np.random.SeedSequence(args.seed)
     exc_path = os.path.join(out, "excursions.csv")
+    warning, warned = None, 0
     with open(exc_path, "w") as fh:
         fh.write("path,rank,g,d,length\n")
         for i, child in enumerate(seq.spawn(args.paths)):
@@ -68,11 +78,16 @@ def _cmd_limit(args) -> int:
                 stride = max(1, len(path.times) // 2000)
                 height = height_from_z(path, params, epsilon=args.epsilon,
                                        stride=stride if params.regime > 1 else 1)
+                if "warning" in height.meta:
+                    warning, warned = height.meta["warning"], warned + 1
                 table = np.column_stack([path.times[::stride],
                                          path.values[::stride],
                                          height.values[::stride]])
                 np.savetxt(os.path.join(out, f"path{i}.csv"), table,
                            delimiter=",", header="t,value,height", comments="")
+    if warning:
+        print(f"bicrit: warning: {warning} ({warned} of "
+              f"{min(args.paths, args.keep_paths)} kept paths)", file=sys.stderr)
     print(f"wrote {exc_path}")
     return 0
 
@@ -80,6 +95,7 @@ def _cmd_limit(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = _load_config(args.config, args)
     report = harness.run_discrete(cfg)
+    _warn_partial(report)
     params = LimitParams.from_pair(cfg.pair())
     ensemble = harness.simulate_limit_ensemble(
         params, cfg.limit.paths, cfg.limit.horizon, cfg.limit.step,
@@ -112,6 +128,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_clustering(args) -> int:
+    if args.n < 3:
+        raise harness.ConfigError("clustering needs --n of at least 3")
     est = clustering_estimate(point_mass(1.0), point_mass(1.0),
                               args.n, args.m if args.m else args.n,
                               trials=args.trials, seed=args.seed)
@@ -172,7 +190,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_clustering)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (harness.ConfigError, InvalidSpecError, CriticalityError) as exc:
+        print(f"bicrit: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Direct sampler of the weighted bipartite graph and derived graph queries.
 
-Vertices are indexed 0..n-1 (black) and 0..m-1 (white).  Internally a
-combined index space is used for traversals: black i -> i, white j -> n+j.
-Adjacency is stored as sorted neighbour lists per vertex; the graphs of
-interest are sparse at criticality and the workload is BFS-heavy.
+Vertices are indexed 0..n-1 (black) and 0..m-1 (white).  Traversals use a
+combined index space: black i -> i, white j -> n+j.
+
+Every breadth-first search in the package runs on the one kernel here:
+``adjacency`` turns edge endpoint arrays into neighbour lists, ``bfs``
+fills a caller-supplied distance list and returns the visit order, and
+``double_sweep`` bounds a component's diameter.  The graphs searched are
+small or sparse, so the kernel is plain Python over lists.
 """
 
 from __future__ import annotations
@@ -28,6 +32,44 @@ def edge_probability(x: float, y: float, z: float) -> float:
     return -math.expm1(-x * y / z)
 
 
+def adjacency(size: int, us, vs) -> list[list[int]]:
+    """Neighbour lists of the undirected graph on 0..size-1 with edges
+    (us[k], vs[k]); ``us`` and ``vs`` are equal-length int sequences."""
+    adj: list[list[int]] = [[] for _ in range(size)]
+    for u, v in zip(us, vs):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def bfs(adj: list[list[int]], source: int, dist: list[int]) -> list[int]:
+    """Breadth-first search from ``source``.  ``dist`` holds -1 for every
+    unvisited vertex; the search writes the distance of each vertex it
+    reaches and returns those vertices in visit order, ``source`` first."""
+    dist[source] = 0
+    order = [source]
+    for v in order:
+        dv = dist[v] + 1
+        for w in adj[v]:
+            if dist[w] == -1:
+                dist[w] = dv
+                order.append(w)
+    return order
+
+
+def double_sweep(adj: list[list[int]], source: int) -> int:
+    """Two BFS sweeps, from ``source`` and then from the first vertex, by
+    index, at maximal distance from it: the eccentricity of that vertex.
+    Exact on trees, a lower bound on the component's diameter otherwise."""
+    dist = [-1] * len(adj)
+    order = bfs(adj, source, dist)
+    dmax = dist[order[-1]]
+    far = min(v for v in order if dist[v] == dmax)
+    dist = [-1] * len(adj)
+    order = bfs(adj, far, dist)
+    return dist[order[-1]]
+
+
 @dataclass
 class BipartiteGraph:
     x_weights: np.ndarray
@@ -45,19 +87,17 @@ class BipartiteGraph:
         if len(self.y_weights) and self.y_weights.min() <= 0:
             raise ValueError("white weights must be positive")
         n, m = self.n, self.m
-        seen = set()
-        dedup = []
-        for i, j in self.edges:
-            if not (0 <= i < n and 0 <= j < m):
-                raise ValueError(f"edge ({i},{j}) out of range")
-            if (i, j) not in seen:
-                seen.add((i, j))
-                dedup.append((int(i), int(j)))
-        dedup.sort()
-        self.edges = dedup
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        try:
+            keys = np.ravel_multi_index(e.T, (n, m))     # i*m + j, range-checked
+        except ValueError:
+            # viewed as unsigned, a negative index is out of range too
+            i, j = e[(e.view(np.uint64) >= (n, m)).any(axis=1).argmax()].tolist()
+            raise ValueError(f"edge ({i},{j}) out of range") from None
+        self.edges = [divmod(k, m) for k in np.unique(keys).tolist()]
         self.black_adj = [[] for _ in range(n)]
         self.white_adj = [[] for _ in range(m)]
-        for i, j in dedup:
+        for i, j in self.edges:
             self.black_adj[i].append(j)
             self.white_adj[j].append(i)
 
@@ -110,12 +150,9 @@ class IntersectionGraph:
     adj: list[list[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.adj = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            self.adj[i].append(j)
-            self.adj[j].append(i)
-        for a in self.adj:
-            a.sort()
+        # sorted edges give sorted neighbour lists
+        edges = sorted(self.edges)
+        self.adj = adjacency(self.n, [i for i, _ in edges], [j for _, j in edges])
 
 
 def intersection_graph(graph: BipartiteGraph) -> IntersectionGraph:
@@ -152,78 +189,32 @@ class GraphDistances:
     def __init__(self, graph: BipartiteGraph):
         self.graph = graph
         n, m = graph.n, graph.m
-        self._comp = np.full(n + m, -1, dtype=int)
-        self._dist_cache: dict[int, np.ndarray] = {}
+        self.adj = adjacency(n + m, [i for i, _ in graph.edges],
+                             [n + j for _, j in graph.edges])
+        self._comp = [-1] * (n + m)
+        self._dist_cache: dict[int, list[int]] = {}
         comps: list[ComponentRecord] = []
+        seen = [-1] * (n + m)
         for start in range(n + m):
-            if self._comp[start] != -1:
+            if seen[start] != -1:
                 continue
-            cid = len(comps)
-            members = self._bfs_collect(start, cid)
+            members = bfs(self.adj, start, seen)
+            for v in members:
+                self._comp[v] = len(comps)
             blacks = sorted(v for v in members if v < n)
             whites = sorted(v - n for v in members if v >= n)
-            ec = sum(len(graph.black_adj[i]) for i in blacks)
-            comps.append(ComponentRecord(
+            rec = ComponentRecord(
                 black_members=blacks,
                 white_members=whites,
                 x_mass=float(graph.x_weights[blacks].sum()) if blacks else 0.0,
                 y_mass=float(graph.y_weights[whites].sum()) if whites else 0.0,
-                edge_count=ec,
-            ))
-        self.components = comps
-        for rec in self.components:
+                edge_count=sum(len(graph.black_adj[i]) for i in blacks),
+            )
+            # start is the component's least combined index
             if rec.nontrivial:
-                rec.diameter_bound = self._double_sweep(rec)
-
-    def _neighbours(self, v: int) -> list[int]:
-        n = self.graph.n
-        if v < n:
-            return [n + j for j in self.graph.black_adj[v]]
-        return self.graph.white_adj[v - n]
-
-    def _bfs_collect(self, start: int, cid: int) -> list[int]:
-        self._comp[start] = cid
-        frontier = [start]
-        members = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in self._neighbours(v):
-                    if self._comp[w] == -1:
-                        self._comp[w] = cid
-                        members.append(w)
-                        nxt.append(w)
-            frontier = nxt
-        return members
-
-    def _bfs_from(self, source: int) -> np.ndarray:
-        if source in self._dist_cache:
-            return self._dist_cache[source]
-        n, m = self.graph.n, self.graph.m
-        dist = np.full(n + m, -1, dtype=int)
-        dist[source] = 0
-        frontier = [source]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in self._neighbours(v):
-                    if dist[w] == -1:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        self._dist_cache[source] = dist
-        return dist
-
-    def _double_sweep(self, rec: ComponentRecord) -> int:
-        # two BFS sweeps: exact on trees, a lower-bound style estimate otherwise
-        v0 = rec.black_members[0] if rec.black_members else rec.white_members[0] + self.graph.n
-        d0 = self._bfs_from(v0)
-        members = rec.black_members + [self.graph.n + j for j in rec.white_members]
-        far = max(members, key=lambda v: d0[v])
-        d1 = self._bfs_from(far)
-        return int(max(d1[v] for v in members))
+                rec.diameter_bound = double_sweep(self.adj, start)
+            comps.append(rec)
+        self.components = comps
 
     def component_of_black(self, i: int) -> int:
         return int(self._comp[i])
@@ -237,8 +228,11 @@ class GraphDistances:
         b = self._encode(v)
         if self._comp[a] != self._comp[b]:
             return INF
-        d = self._bfs_from(a)[b]
-        return float(d)
+        dist = self._dist_cache.get(a)
+        if dist is None:
+            dist = self._dist_cache[a] = [-1] * len(self.adj)
+            bfs(self.adj, a, dist)
+        return float(dist[b])
 
     def _encode(self, v: tuple[str, int]) -> int:
         colour, idx = v
@@ -255,23 +249,6 @@ class GraphDistances:
 
 def components_and_distances(graph: BipartiteGraph) -> GraphDistances:
     return GraphDistances(graph)
-
-
-def _intersection_bfs(ig: IntersectionGraph, source: int) -> np.ndarray:
-    dist = np.full(ig.n, -1, dtype=int)
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in ig.adj[v]:
-                if dist[w] == -1:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
 
 
 @dataclass
@@ -339,7 +316,7 @@ class IsometryReport:
 def isometry_check(graph: BipartiteGraph, ig: IntersectionGraph | None = None,
                    max_pairs: int | None = None, seed=None) -> IsometryReport:
     """Verify d_gr(b_i, b_j) = 2 * d_rig(i, j) for black pairs sharing a
-    component, by exhaustive BFS on both graphs."""
+    component, with one BFS per source black on each graph."""
     if ig is None:
         ig = intersection_graph(graph)
     gd = components_and_distances(graph)
@@ -351,9 +328,13 @@ def isometry_check(graph: BipartiteGraph, ig: IntersectionGraph | None = None,
         idx = rng.choice(len(pairs), size=max_pairs, replace=False)
         pairs = [pairs[k] for k in idx]
     violations = []
+    rig: dict[int, list[int]] = {}         # intersection-graph BFS per source
     for i, j in pairs:
+        if i not in rig:
+            rig[i] = [-1] * ig.n
+            bfs(ig.adj, i, rig[i])
         db = gd.distance(("b", i), ("b", j))
-        dr = _intersection_bfs(ig, i)[j]
+        dr = rig[i][j]
         if dr < 0 or db != 2 * dr:
             violations.append((i, j, db, float(dr)))
     return IsometryReport(not violations, len(pairs), violations)

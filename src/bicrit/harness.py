@@ -15,18 +15,35 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 from scipy import stats
 
 from . import encoding, lifo
+from .graph_core import adjacency, double_sweep
 from .limit_sim import LimitParams, MarkSet, simulate_z
 from .poisson_model import sample_conditioned
 from .weights import (CriticalPair, WeightSpec, spec_from_dict, spec_to_dict,
                       validate_critical_pair)
 
 REPORT_SCHEMA = "bicrit-run-report-1"
+FEATURES = ("masses", "full")
+
+
+class ConfigError(ValueError):
+    """A config or command-line value the program cannot run with."""
+
+
+def _check_keys(cls, d: dict, where: str) -> None:
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(d) - known)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing {where} keys: {', '.join(missing)}")
 
 
 @dataclass
@@ -62,12 +79,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Build a config; raises ConfigError on unknown or missing keys,
+        an unknown ``features`` value, or a count below 1."""
+        _check_keys(cls, d, "config")
         d = dict(d)
         d["spec_b"] = spec_from_dict(d["spec_b"])
         d["spec_w"] = spec_from_dict(d["spec_w"])
         if "limit" in d and isinstance(d["limit"], dict):
+            _check_keys(LimitConfig, d["limit"], "limit")
             d["limit"] = LimitConfig(**d["limit"])
-        return cls(**d)
+        cfg = cls(**d)
+        if cfg.features not in FEATURES:
+            raise ConfigError(f"features must be one of {FEATURES}, "
+                              f"got {cfg.features!r}")
+        for name in ("n", "replicates", "top_k", "workers"):
+            value = getattr(cfg, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        return cfg
 
 
 @dataclass
@@ -288,7 +317,7 @@ def _full_replicate(pair: CriticalPair, top_k: int, seed: int) -> ReplicateSumma
     tops = []
     for c in by_x[:top_k].tolist():
         blacks = record.order[exc.root_jump[c]:exc.end_jump[c]]
-        shortcuts = surplus[surplus_comp == c].tolist()
+        shortcuts = surplus[surplus_comp == c]
         tops.append(ComponentSummary(
             float(exc.x_mass[c]), float(exc.y_mass[c]), int(blacks[0]),
             surplus_count=int(surplus_per_comp[c]),
@@ -299,45 +328,23 @@ def _full_replicate(pair: CriticalPair, top_k: int, seed: int) -> ReplicateSumma
 
 
 def _component_diameter(record: lifo.ExplorationRecord, blacks: np.ndarray,
-                        surplus: list[list[int]]) -> int:
+                        surplus: np.ndarray) -> int:
     """Double BFS sweep on the component of the distance-modified graph
-    (forest plus black-to-black shortcuts); ``blacks`` in exploration
-    order, root first."""
-    whites = np.flatnonzero(np.isin(record.parent_black, blacks)).tolist()
-    blacks = blacks.tolist()
-    bid = {b: i for i, b in enumerate(blacks)}
-    wid = {w: len(blacks) + i for i, w in enumerate(whites)}
-    adj: list[list[int]] = [[] for _ in range(len(blacks) + len(whites))]
-
-    def add(u, v):
-        adj[u].append(v)
-        adj[v].append(u)
-
-    for w, b in zip(whites, record.parent_black[whites].tolist()):
-        add(bid[b], wid[w])
-    for b, pw in zip(blacks, record.parent_white[blacks].tolist()):
-        if pw >= 0:
-            add(bid[b], wid[pw])
-    for b, b2 in surplus:
-        add(bid[b], bid[b2])
-
-    def bfs(src):
-        dist = [-1] * len(adj)
-        dist[src] = 0
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if dist[w] == -1:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
-
-    d0 = bfs(0)
-    far = max(range(len(adj)), key=lambda v: d0[v])
-    return max(bfs(far))
+    (forest plus the black-to-black shortcut rows of ``surplus``).  Local
+    vertex ids: ``blacks`` in exploration order, root first, then the
+    component's whites by index."""
+    whites = np.flatnonzero(np.isin(record.parent_black, blacks))
+    nb = len(blacks)
+    local = np.empty(record.n, dtype=np.intp)
+    local[blacks] = np.arange(nb)
+    parent_white = record.parent_white[blacks]
+    joined = parent_white >= 0
+    us = np.concatenate([local[record.parent_black[whites]],
+                         np.flatnonzero(joined), local[surplus[:, 0]]])
+    vs = np.concatenate([np.arange(nb, nb + len(whites)),
+                         nb + np.searchsorted(whites, parent_white[joined]),
+                         local[surplus[:, 1]]])
+    return double_sweep(adjacency(nb + len(whites), us.tolist(), vs.tolist()), 0)
 
 
 def _one_replicate(job) -> ReplicateSummary:

@@ -415,10 +415,10 @@ def sample_surplus_direct(record: ExplorationRecord, z: float,
 
 def assemble_graph(record: ExplorationRecord,
                    surplus: list[tuple[int, int]]) -> BipartiteGraph:
-    """Forest plus surplus edges, deduplicated, roots and orders forgotten."""
-    edges = set(record.forest_edges())
-    edges.update((int(i), int(j)) for i, j in surplus)
-    return BipartiteGraph(record.x, record.y, sorted(edges), record.z)
+    """Forest plus surplus edges, roots and orders forgotten; the graph
+    deduplicates."""
+    return BipartiteGraph(record.x, record.y, record.forest_edges() + list(surplus),
+                          record.z)
 
 
 def project_surplus(record: ExplorationRecord,

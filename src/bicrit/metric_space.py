@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph_core import bfs
+
 #: points closer than this merge into one quotient class
 MERGE_TOL = 1e-9
 
@@ -485,18 +487,9 @@ def bfs_all_pairs(adj: list[list[int]]) -> np.ndarray:
     n = len(adj)
     out = np.full((n, n), math.inf)
     for s in range(n):
-        out[s, s] = 0.0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if out[s, w] == math.inf:
-                        out[s, w] = d
-                        nxt.append(w)
-            frontier = nxt
+        dist = [-1] * n
+        order = bfs(adj, s, dist)
+        out[s, order] = [dist[v] for v in order]
     return out
 
 

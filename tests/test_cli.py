@@ -53,3 +53,83 @@ def test_cli_compare_small(config_file, capsys):
     out = capsys.readouterr().out
     assert "KS(y-mass)" in out
     assert rc == 0
+
+
+def _write(tmp_path, d):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+def _desk(**changes):
+    cfg = ExperimentConfig(spec_b=point_mass(1.0), spec_w=point_mass(1.0),
+                           theta=1.0, n=100, replicates=5, seed=1,
+                           features="masses")
+    return dict(cfg.to_dict(), **changes)
+
+
+@pytest.mark.parametrize("command, config, extra, message", [
+    ("simulate", _desk(workerz=2), [], "unknown config keys: workerz"),
+    ("simulate", _desk(features="ful"), [], "features must be one of"),
+    ("simulate", _desk(n=0), [], "n must be an integer >= 1"),
+    ("simulate", _desk(), ["--replicates", "0"], "replicates must be an integer >= 1"),
+    ("compare", _desk(top_k=0), [], "top_k must be an integer >= 1"),
+    ("simulate", _desk(workers=0), [], "workers must be an integer >= 1"),
+    ("simulate", _desk(theta=-1.0), [], "need theta > 0"),
+    ("simulate", _desk(spec_b={"kind": "point-mass", "value": 2.0}), [],
+     "second-moment product"),
+    ("clustering", None, ["--n", "2"], "clustering needs --n of at least 3"),
+])
+def test_cli_invalid_input_exits_2_with_one_line(tmp_path, capsys, command,
+                                                  config, extra, message):
+    argv = [command] + extra
+    if config is not None:
+        argv += ["--config", _write(tmp_path, config), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("bicrit: error: ")
+    assert message in lines[0]
+
+
+def test_cli_limit_warns_once_on_small_epsilon(tmp_path, capsys):
+    argv = ["limit", "--regime", "2", "--paths", "3", "--horizon", "1.0",
+            "--step", "0.001", "--keep-paths", "2", "--epsilon", "1e-6"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {tmp_path / 'a' / 'excursions.csv'}\n"
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("bicrit: warning: occupation epsilon")
+    assert lines[0].endswith("(2 of 2 kept paths)")
+    argv[-1] = "1.0"
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err == ""
+    assert ((tmp_path / "a" / "excursions.csv").read_bytes()
+            == (tmp_path / "b" / "excursions.csv").read_bytes())
+
+
+def test_cli_simulate_warns_on_partial_run(config_file, tmp_path, capsys,
+                                           monkeypatch):
+    from bicrit import harness
+    whole = tmp_path / "whole"
+    assert main(["simulate", "--config", config_file, "--out", str(whole)]) == 0
+    assert capsys.readouterr().err == ""
+    calls = []
+    real = harness._one_replicate
+
+    def capped(job):
+        calls.append(job)
+        if len(calls) > 5:
+            raise MemoryError
+        return real(job)
+
+    monkeypatch.setattr(harness, "_one_replicate", capped)
+    cut = tmp_path / "cut"
+    assert main(["simulate", "--config", config_file, "--out", str(cut)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("bicrit: warning: out of memory; the report holds "
+                            "5 of 20 replicates\n")
+    assert "hash=" in captured.out
+    assert '"partial": true' in (cut / "report.json").read_text()

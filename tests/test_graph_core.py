@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,3 +139,47 @@ def test_isometry_on_randoms():
 
 def test_edge_list_dump():
     assert fig_graph().to_edge_list().splitlines()[0] == "b0 w3"
+
+
+def test_isometry_subsamples_to_max_pairs_reproducibly():
+    g = gc.sample_direct(np.ones(30), np.ones(30), 20.0, seed=3)
+    gd = gc.components_and_distances(g)
+    same = sum(len(c.black_members) * (len(c.black_members) - 1) // 2
+               for c in gd.components)
+    assert same > 25
+    rep = gc.isometry_check(g, max_pairs=25, seed=8)
+    assert rep.ok and rep.pairs_checked == 25
+    assert gc.isometry_check(g, max_pairs=25, seed=8) == rep
+    assert gc.isometry_check(g).pairs_checked == same
+
+
+def test_isometry_flags_an_intersection_graph_missing_an_edge():
+    g = fig_graph()
+    ig = gc.intersection_graph(g)
+    for edge in sorted(ig.edges):
+        wrong = gc.IntersectionGraph(ig.n, ig.edges - {edge})
+        rep = gc.isometry_check(g, wrong)
+        assert not rep.ok
+        assert any(i == edge[0] and j == edge[1] for i, j, _, _ in rep.violations)
+
+
+def test_bipartite_graph_dedups_like_a_sorted_set():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        raw = list(zip(rng.integers(n, size=20).tolist(),
+                       rng.integers(m, size=20).tolist()))
+        g = gc.BipartiteGraph(np.ones(n), np.ones(m), raw, 1.0)
+        assert g.edges == sorted(set(raw))
+        assert all(type(v) is int for e in g.edges for v in e)
+        assert g.black_adj == [[j for i, j in g.edges if i == b] for b in range(n)]
+
+
+@pytest.mark.parametrize("edges, named", [
+    ([(0, 0), (2, 0), (-1, 0)], "(2,0)"),
+    ([(1, 2), (0, -1), (5, 5)], "(0,-1)"),
+    ([(1, 3)], "(1,3)"),
+])
+def test_bipartite_graph_names_first_out_of_range_edge(edges, named):
+    with pytest.raises(ValueError, match=re.escape(f"edge {named} out of range")):
+        gc.BipartiteGraph(np.ones(2), np.ones(3), edges, 1.0)

@@ -250,3 +250,32 @@ def test_poissonized_per_pair_probability():
                for _ in range(runs))
     target = 1.0 - math.exp(-4.0 / z)
     assert abs(hits / runs - target) <= 0.012
+
+
+def _config_dict(**changes):
+    cfg = harness.ExperimentConfig(spec_b=point_mass(1.0), spec_w=point_mass(1.0),
+                                   theta=1.0, n=50, replicates=3)
+    d = dict(cfg.to_dict(), **changes)
+    return {k: v for k, v in d.items() if v is not None}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"replicate": 5}, "unknown config keys: replicate"),
+    ({"limit": {"paths": 10, "stpe": 0.1}}, "unknown limit keys: stpe"),
+    ({"theta": None}, "missing config keys: theta"),
+    ({"features": "mass"}, "features must be one of"),
+    ({"n": 0}, "n must be an integer >= 1"),
+    ({"replicates": 0}, "replicates must be an integer >= 1"),
+    ({"top_k": -1}, "top_k must be an integer >= 1"),
+    ({"workers": 0}, "workers must be an integer >= 1"),
+    ({"n": 12.5}, "n must be an integer >= 1"),
+])
+def test_config_from_dict_rejects(changes, message):
+    with pytest.raises(harness.ConfigError, match=message):
+        harness.ExperimentConfig.from_dict(_config_dict(**changes))
+
+
+def test_config_from_dict_accepts_both_feature_sets():
+    for features in harness.FEATURES:
+        cfg = harness.ExperimentConfig.from_dict(_config_dict(features=features))
+        assert cfg.features == features
