@@ -29,8 +29,16 @@ from .weights import CriticalityError, InvalidSpecError, point_mass
 
 
 def _load_config(path: str, overrides: argparse.Namespace) -> harness.ExperimentConfig:
-    with open(path) as fh:
-        d = json.load(fh)
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except OSError as exc:
+        raise harness.ConfigError(f"cannot read config {path}: "
+                                  f"{exc.strerror}") from None
+    except ValueError as exc:
+        raise harness.ConfigError(f"config {path} is not JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise harness.ConfigError(f"config {path} must hold a JSON object")
     for key, value in (("seed", overrides.seed),
                        ("replicates", getattr(overrides, "replicates", None)),
                        ("out_dir", getattr(overrides, "out", None))):
@@ -60,9 +68,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    params = LimitParams(regime=args.regime, theta=args.theta,
-                         alpha=args.alpha if args.regime > 1 else 2.0,
-                         c_b=args.c_b, c_w=args.c_w)
+    try:
+        params = LimitParams(regime=args.regime, theta=args.theta,
+                             alpha=args.alpha if args.regime > 1 else 2.0,
+                             c_b=args.c_b, c_w=args.c_w)
+    except ValueError as exc:
+        raise harness.ConfigError(str(exc)) from None
+    if not (args.horizon > 0 and 0 < args.step <= 1e-3 * args.horizon):
+        raise harness.ConfigError("limit needs --horizon > 0 and --step in "
+                                  "(0, horizon / 1000]")
+    if args.paths < 1 or args.top_k < 1 or args.keep_paths < 0:
+        raise harness.ConfigError("limit needs --paths and --top-k of at "
+                                  "least 1 and --keep-paths of at least 0")
+    if args.epsilon is not None and not args.epsilon > 0:
+        raise harness.ConfigError("--epsilon must be positive")
     out = args.out or "bicrit-limit"
     os.makedirs(out, exist_ok=True)
     seq = np.random.SeedSequence(args.seed)
@@ -109,6 +128,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.instances < 1 or args.max_side < 1:
+        raise harness.ConfigError("check needs --instances and --max-side of "
+                                  "at least 1")
     results = checks.identity_suite(args.instances, seed=args.seed,
                                     max_side=args.max_side)
     fails = checks.summarize(results)

@@ -173,10 +173,6 @@ class HeightPath:
                 hi = mid
         return self.changes[lo - 1][1] if lo else None
 
-    def as_step_path(self) -> StepPath:
-        sizes = np.diff(np.concatenate([[0], self.levels]))
-        return StepPath(self.times, sizes.astype(float))
-
 
 def height_process(z: StepPath) -> HeightPath:
     """Queue length over time, via a monotone stack over the jump skeleton.

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
 
 from .metric_space import CodedFunction, FiniteMeasuredMetricSpace, shortcut_graph
 from .poisson_model import limit_constant
@@ -51,6 +50,8 @@ class LimitParams:
     def __post_init__(self):
         if self.regime not in (1, 2, 3):
             raise ValueError("regime must be 1, 2 or 3")
+        if not self.theta > 0:
+            raise ValueError("theta must be positive")
         if self.regime == 1 and self.alpha != 2.0:
             raise ValueError("regime 1 fixes alpha = 2")
         if self.regime in (2, 3) and not (1.0 < self.alpha < 2.0):
@@ -128,6 +129,8 @@ def levy_endpoints(params: LimitParams, t: float, count: int, seed) -> np.ndarra
     rng = np.random.default_rng(seed)
     if params.regime == 1:
         return rng.normal(0.0, math.sqrt(params.jump_coeff * t), size=count)
+    from scipy import stats
+
     scale = stable_scale(params.psi_coeff * t, params.alpha)
     return stats.levy_stable.rvs(params.alpha, 1.0, loc=0.0, scale=scale,
                                  size=count, random_state=rng)
@@ -160,6 +163,8 @@ def simulate_levy(params: LimitParams, horizon: float, step: float,
     if params.regime == 1:
         inc = rng.normal(0.0, math.sqrt(params.jump_coeff * step), size=n_steps)
     else:
+        from scipy import stats
+
         scale = stable_scale(params.psi_coeff * step, params.alpha)
         inc = stats.levy_stable.rvs(params.alpha, 1.0, loc=0.0, scale=scale,
                                     size=n_steps, random_state=rng)
@@ -180,6 +185,8 @@ def small_jump_variance_rate(params: LimitParams, eps: float,
                              s: np.ndarray) -> np.ndarray:
     """d/ds of the variance of the compensated below-truncation jumps:
     integral over x < eps of x^2 c_i (alpha+1) x^{-alpha-1} e^{-q x s} dx."""
+    from scipy import special
+
     a = params.alpha
     q = params.tilt_slope
     ci = params.jump_coeff
@@ -197,6 +204,8 @@ def small_jump_variance_rate(params: LimitParams, eps: float,
 def _upper_gamma_neg(s: float, z: np.ndarray) -> np.ndarray:
     """Upper incomplete gamma with parameter s in (-1, 0), via the recurrence
     from the positive-parameter regularised function."""
+    from scipy import special
+
     z = np.asarray(z, dtype=float)
     top = special.gammaincc(s + 1.0, z) * special.gamma(s + 1.0)
     return (top - z ** s * np.exp(-z)) / s

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .encoding import StepPath
 from .weights import (CriticalPair, WeightSpec, moment, sample_size_biased,
@@ -73,6 +72,8 @@ def sample_unconditioned(pair: CriticalPair, seed) -> PoissonCoupling:
 def intensity_total(pair: CriticalPair, colour: str = "b") -> float:
     """Total mass of the planar intensity, by nested quadrature (the inner
     clock integral is rescaled to unit decay before integrating)."""
+    from scipy import integrate
+
     spec = pair.spec_b if colour == "b" else pair.spec_w
     ratio = math.sqrt(pair.n / pair.m) if colour == "b" else math.sqrt(pair.m / pair.n)
     z = pair.z
@@ -88,6 +89,8 @@ def intensity_total(pair: CriticalPair, colour: str = "b") -> float:
 
 def _integrate_against(spec: WeightSpec, fn) -> float:
     """integral of fn(x) dF(x), splitting heavy tails at the cutoff."""
+    from scipy import integrate
+
     p = spec.params
     if spec.kind == "point-mass":
         return fn(p["value"])
@@ -132,6 +135,8 @@ def phi_hat_bare(spec: WeightSpec, lam: float) -> float:
         return float(sum(q * (math.expm1(-lam * v) + lam * v) * v
                          for v, q in zip(p["values"], p["probs"])))
     if spec.kind == "power-tail":
+        from scipy import integrate
+
         # split the Pareto tail where the exponential term dies: beyond L
         # the integrand is (lam x - 1) x^{-g-1} up to an O(e^{-60}) remainder
         g, c = p["tail_index"], p["cutoff"]
@@ -172,12 +177,6 @@ class LaplaceExponentTable:
 
     def phi_w(self, lam: float) -> float:
         return self._rw * phi_bare(self.pair.spec_w, lam)
-
-    def phi_b_hat(self, lam: float) -> float:
-        return self._rb * phi_hat_bare(self.pair.spec_b, lam)
-
-    def phi_w_hat(self, lam: float) -> float:
-        return self._rw * phi_hat_bare(self.pair.spec_w, lam)
 
     def subordinated(self, lam: float) -> float:
         """Exponent of the composed reference path: lam + phi_b(-phi_w(lam))."""
@@ -252,6 +251,8 @@ def tilt_density(paths: ReferencePaths, table: LaplaceExponentTable,
     the two compensator integrals are quadratures of the exponents along
     the clock.  The density has unit mean under the reference law.
     """
+    from scipy import integrate
+
     z = table.pair.z
     lb_t = float(paths.jump_black.value(t))
 
@@ -275,6 +276,8 @@ def limit_constant(alpha: float) -> float:
         return 0.5
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (1, 2]")
+    from scipy import special
+
     return (alpha + 1.0) * special.gamma(2.0 - alpha) / (alpha * (alpha - 1.0))
 
 
@@ -346,6 +349,8 @@ def height_condition_integral(pair: CriticalPair, y: float,
     Finite and decreasing in y under criticality; a nonpositive psi_n along
     the range indicates a subcritical pair (or a bug) and raises.
     """
+    from scipy import integrate
+
     if y <= 0:
         raise ValueError("y must be positive")
     table = laplace_exponents(pair)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy import integrate
 
 #: tolerance on |sigma2_b * sigma2_w - 1| for a pair to count as critical
 CRITICALITY_TOL = 1e-12
@@ -27,7 +26,15 @@ CRITICALITY_TOL = 1e-12
 #: relative error target for all moment quadratures
 QUADRATURE_RTOL = 1e-8
 
-KINDS = ("point-mass", "exponential", "uniform", "discrete-table", "power-tail")
+#: parameter names of each kind
+PARAMS = {
+    "point-mass": ("value",),
+    "exponential": ("rate",),
+    "uniform": ("low", "high"),
+    "discrete-table": ("values", "probs"),
+    "power-tail": ("tail_index", "tail_constant", "cutoff"),
+}
+KINDS = tuple(PARAMS)
 
 REGIME_THIRD = "third-moments"
 REGIME_DOMINANT = "dominant-heavy"
@@ -69,6 +76,12 @@ class WeightSpec:
         if self.kind not in KINDS:
             raise InvalidSpecError(f"unknown kind {self.kind!r}")
         p = self.params
+        expected = PARAMS[self.kind]
+        bad = ([f"unknown key {k!r}" for k in sorted(set(p) - set(expected))]
+               + [f"missing key {k!r}" for k in expected if k not in p])
+        if bad:
+            raise InvalidSpecError(f"{self.kind} spec: {', '.join(bad)} "
+                                   f"(expects {', '.join(expected)})")
         if self.kind == "point-mass":
             if p["value"] <= 0:
                 raise InvalidSpecError("point mass must sit in (0, inf)")
@@ -169,6 +182,8 @@ def moment(spec: WeightSpec, r: float, method: str = "closed") -> float:
 
 
 def _moment_quadrature(spec: WeightSpec, r: float) -> float:
+    from scipy import integrate
+
     p = spec.params
     if spec.kind == "point-mass":
         return p["value"] ** r
@@ -384,9 +399,12 @@ def spec_to_dict(spec: WeightSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> WeightSpec:
+    if not isinstance(d, dict) or "kind" not in d:
+        raise InvalidSpecError(f"weight spec needs a 'kind' key, one of "
+                               f"{', '.join(KINDS)}")
     d = dict(d)
     kind = d.pop("kind")
     label = d.pop("label", "b")
     if kind == "discrete-table":
-        d = {"values": tuple(d["values"]), "probs": tuple(d["probs"])}
+        d.update({k: tuple(d[k]) for k in ("values", "probs") if k in d})
     return WeightSpec(kind, d, label)

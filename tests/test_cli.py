@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bicrit
 from bicrit.cli import main
 from bicrit.harness import ExperimentConfig
 from bicrit.weights import point_mass
@@ -79,6 +83,21 @@ def _desk(**changes):
     ("simulate", _desk(spec_b={"kind": "point-mass", "value": 2.0}), [],
      "second-moment product"),
     ("clustering", None, ["--n", "2"], "clustering needs --n of at least 3"),
+    ("simulate", _desk(spec_b={"kind": "point-mass", "valu": 1.0}), [],
+     "point-mass spec: unknown key 'valu', missing key 'value'"),
+    ("simulate", _desk(spec_w={"value": 1.0}), [], "weight spec needs a 'kind' key"),
+    ("simulate", None, ["--config", "no-such-config.json"],
+     "cannot read config no-such-config.json"),
+    ("limit", None, ["--regime", "2", "--alpha", "2.5"],
+     "stable regimes need alpha in (1, 2)"),
+    ("limit", None, ["--regime", "3"], "regime 3 needs both tail constants"),
+    ("limit", None, ["--regime", "1", "--theta", "0"], "theta must be positive"),
+    ("limit", None, ["--regime", "2", "--step", "0"], "--step in (0, horizon / 1000]"),
+    ("limit", None, ["--regime", "1", "--paths", "-1"], "limit needs --paths"),
+    ("limit", None, ["--regime", "2", "--epsilon", "0"], "--epsilon must be positive"),
+    ("check", None, ["--instances", "-3"], "check needs --instances"),
+    ("check", None, ["--instances", "0"], "check needs --instances"),
+    ("check", None, ["--max-side", "0"], "--max-side of at least 1"),
 ])
 def test_cli_invalid_input_exits_2_with_one_line(tmp_path, capsys, command,
                                                   config, extra, message):
@@ -91,6 +110,53 @@ def test_cli_invalid_input_exits_2_with_one_line(tmp_path, capsys, command,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("bicrit: error: ")
     assert message in lines[0]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "is not JSON"),
+    ("[1, 2]", "must hold a JSON object"),
+])
+def test_cli_unreadable_config_exits_2_with_one_line(tmp_path, capsys, text,
+                                                     message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("bicrit: error: ")
+    assert message in lines[0]
+
+
+def test_cli_leaves_scipy_unloaded(tmp_path):
+    """SciPy serves only the quadrature, limit-rate and Levy-stable paths;
+    importing the CLI, a full-feature simulate and check never load it."""
+    script = f"""
+import json, sys
+from bicrit.cli import main
+from bicrit.harness import ExperimentConfig
+from bicrit.weights import point_mass
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {{"import": scipy_modules()}}
+cfg = ExperimentConfig(spec_b=point_mass(1.0), spec_w=point_mass(1.0),
+                       theta=1.0, n=60, replicates=2, features="full")
+with open({str(tmp_path / "c.json")!r}, "w") as fh:
+    json.dump(cfg.to_dict(), fh)
+assert main(["simulate", "--config", fh.name, "--out", {str(tmp_path / "o")!r}]) == 0
+loaded["simulate"] = scipy_modules()
+assert main(["check", "--instances", "2"]) == 0
+loaded["check"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+    src = os.path.dirname(os.path.dirname(bicrit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "simulate": [], "check": []}
 
 
 def test_cli_limit_warns_once_on_small_epsilon(tmp_path, capsys):

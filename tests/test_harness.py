@@ -279,3 +279,44 @@ def test_config_from_dict_accepts_both_feature_sets():
     for features in harness.FEATURES:
         cfg = harness.ExperimentConfig.from_dict(_config_dict(features=features))
         assert cfg.features == features
+
+
+def _ks_sample_pairs():
+    """3,000 sample pairs of sizes 1-300, half with integer ties and half
+    Pareto, among them size-1 samples and the compare shape 100 vs 100."""
+    rng = np.random.default_rng(18)
+    for i in range(3000):
+        n1, n2 = (int(v) for v in rng.integers(1, 301, size=2))
+        if i % 10 == 1:
+            n1 = 1
+        elif i % 10 == 2:
+            n1 = n2 = 100
+        if i % 2:
+            top = int(rng.integers(1, 20))
+            a = rng.integers(0, top, size=n1).astype(float)
+            b = rng.integers(0, top, size=n2).astype(float)
+        else:
+            a, b = rng.pareto(1.5, size=n1), 1.3 * rng.pareto(1.5, size=n2)
+        yield a, b
+
+
+def test_ks_statistic_equals_scipy_on_tied_and_heavy_samples():
+    for a, b in _ks_sample_pairs():
+        assert (harness._ks_statistic(a, b)
+                == stats.ks_2samp(a, b).statistic), (len(a), len(b))
+
+
+def test_ks_statistic_edge_samples():
+    same = np.arange(5.0)
+    assert harness._ks_statistic(same, same[::-1]) == 0.0
+    assert harness._ks_statistic(same, same + 10.0) == 1.0
+    # past 10000 points scipy switches to the asymptotic p-value and does
+    # not round the distance
+    rng = np.random.default_rng(4)
+    big, small = rng.random(10_001), rng.random(7)
+    assert (harness._ks_statistic(big, small)
+            == stats.ks_2samp(big, small).statistic)
+    with pytest.warns(Warning):
+        assert math.isnan(stats.ks_2samp(np.empty(0), same).statistic)
+    assert math.isnan(harness._ks_statistic(np.empty(0), same))
+    assert math.isnan(harness._ks_statistic(same, np.empty(0)))

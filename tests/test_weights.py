@@ -123,6 +123,24 @@ def test_spec_dict_round_trip():
         assert again == spec
 
 
+@pytest.mark.parametrize("d, message", [
+    ({"value": 1.0}, "weight spec needs a 'kind' key"),
+    (["point-mass", 1.0], "weight spec needs a 'kind' key"),
+    ({"kind": "point-mass", "valu": 1.0},
+     "point-mass spec: unknown key 'valu', missing key 'value' (expects value)"),
+    ({"kind": "discrete-table", "values": [1.0]},
+     "discrete-table spec: missing key 'probs'"),
+    ({"kind": "power-tail", "tail_index": 1.5, "tail_constant": 0.5},
+     "power-tail spec: missing key 'cutoff'"),
+    ({"kind": "exponential", "rate": 1.0, "scale": 2.0},
+     "exponential spec: unknown key 'scale'"),
+])
+def test_spec_from_dict_names_bad_keys(d, message):
+    with pytest.raises(w.InvalidSpecError) as info:
+        w.spec_from_dict(d)
+    assert message in str(info.value)
+
+
 def test_size_biased_sampler_mean():
     # size-biased mean is sigma_2 / sigma_1
     for spec in (w.exponential(1.0), w.uniform(0.5, 1.5),
