@@ -65,8 +65,7 @@ def random_instance(seed: int, max_side: int = 50):
     return x, y, z, clocks, rng
 
 
-def check_instance(seed: int, max_side: int = 50,
-                   literal_height_probes: int = 4) -> InstanceResult:
+def check_instance(seed: int, max_side: int = 50) -> InstanceResult:
     x, y, z, clocks, rng = random_instance(seed, max_side)
     n, m = len(x), len(y)
     res = InstanceResult(seed, n, m)
@@ -101,7 +100,7 @@ def check_instance(seed: int, max_side: int = 50,
 
     height = encoding.height_process(zpath)
     probes = rng.uniform(0.0, float(clocks.black.max()) + 1.0,
-                         size=literal_height_probes)
+                         size=4)
     lit_ok = all(encoding.literal_height(zpath, float(t)) == height.value(float(t))
                  for t in probes)
     add(CheckOutcome("height-stack-vs-literal", lit_ok))

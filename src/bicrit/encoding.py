@@ -36,14 +36,16 @@ class StepPath:
     jump_times: np.ndarray
     jump_sizes: np.ndarray
     drift: float = 0.0
-    t_end: float = math.inf
 
     def __post_init__(self):
         t = np.asarray(self.jump_times, dtype=float)
         s = np.asarray(self.jump_sizes, dtype=float)
-        order = np.argsort(t, kind="stable")
-        self.jump_times = t[order]
-        self.jump_sizes = s[order]
+        # a stable sort of non-decreasing times is the identity: skip it
+        if not np.all(t[1:] >= t[:-1]):
+            order = np.argsort(t, kind="stable")
+            t, s = t[order], s[order]
+        self.jump_times = t
+        self.jump_sizes = s
         self._cum = np.concatenate([[0.0], np.cumsum(self.jump_sizes)])
 
     def value(self, t):
@@ -97,9 +99,10 @@ class ExcursionInterval:
 
 def lambda_paths(record: ExplorationRecord) -> tuple[StepPath, StepPath]:
     """Cumulative arrived weight per colour: jump times are the clocks,
-    jump sizes the vertex weights."""
-    lam_x = StepPath(record.clocks.black, record.x)
-    lam_y = StepPath(record.clocks.white, record.y)
+    jump sizes the vertex weights, taken in the record's clock orders."""
+    order, worder = record.order, record.worder
+    lam_x = StepPath(record.clocks.black[order], record.x[order])
+    lam_y = StepPath(record.clocks.white[worder], record.y[worder])
     return lam_x, lam_y
 
 
@@ -109,10 +112,11 @@ class ZPaths:
     composed: StepPath
 
 
-def z_process(record: ExplorationRecord, tol: float = 1e-9) -> ZPaths:
+def z_process(record: ExplorationRecord) -> ZPaths:
     """The load path built two ways: from the queue's service requests and
-    as -t + Lambda_y(Lambda_x(t)).  The jump structures must agree; a
-    mismatch indicates an implementation bug and raises immediately."""
+    as -t + Lambda_y(Lambda_x(t)).  The jump structures must agree, the
+    sizes to 1e-9; a mismatch indicates an implementation bug and raises
+    immediately."""
     eb = record.clocks.black[record.order]
     queue_load = StepPath(eb, record.delta[record.order], drift=-1.0)
 
@@ -125,7 +129,7 @@ def z_process(record: ExplorationRecord, tol: float = 1e-9) -> ZPaths:
             queue_load.jump_times != composed.jump_times):
         raise AssertionError("load-path jump times disagree between constructions")
     if np.max(np.abs(queue_load.jump_sizes - composed.jump_sizes),
-              initial=0.0) > tol:
+              initial=0.0) > 1e-9:
         raise AssertionError("load-path jump sizes disagree between constructions")
     return ZPaths(queue_load, composed)
 

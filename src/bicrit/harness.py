@@ -21,10 +21,10 @@ import numpy as np
 
 from . import encoding, lifo
 from .graph_core import adjacency, double_sweep
-from .limit_sim import LimitParams, MarkSet, simulate_z
+from .limit_sim import LimitParams, MarkSet, excursion_runs, simulate_z
 from .poisson_model import sample_conditioned
-from .weights import (CriticalPair, WeightSpec, spec_from_dict, spec_to_dict,
-                      validate_critical_pair)
+from .weights import (CriticalPair, WeightSpec, is_number, spec_from_dict,
+                      spec_to_dict, validate_critical_pair)
 
 REPORT_SCHEMA = "bicrit-run-report-1"
 FEATURES = ("masses", "full")
@@ -83,22 +83,37 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Build a config; raises ConfigError on unknown or missing keys,
-        an unknown ``features`` value, or a count below 1."""
+        an unknown ``features`` value, a number of the wrong type, a
+        negative seed, or a count below 1."""
         _check_keys(cls, d, "config")
         d = dict(d)
         d["spec_b"] = spec_from_dict(d["spec_b"])
         d["spec_w"] = spec_from_dict(d["spec_w"])
-        if "limit" in d and isinstance(d["limit"], dict):
+        if "limit" in d:
+            if not isinstance(d["limit"], dict):
+                raise ConfigError("limit must be a JSON object")
             _check_keys(LimitConfig, d["limit"], "limit")
             d["limit"] = LimitConfig(**d["limit"])
         cfg = cls(**d)
         if cfg.features not in FEATURES:
             raise ConfigError(f"features must be one of {FEATURES}, "
                               f"got {cfg.features!r}")
-        for name in ("n", "replicates", "top_k", "workers"):
-            value = getattr(cfg, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        lim = cfg.limit
+        for name, value in (("theta", cfg.theta), ("limit.horizon", lim.horizon),
+                            ("limit.step", lim.step)):
+            if not is_number(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not (lim.epsilon is None or is_number(lim.epsilon)):
+            raise ConfigError(f"limit.epsilon must be a number or null, "
+                              f"got {lim.epsilon!r}")
+        for name, value, low in (("seed", cfg.seed, 0), ("n", cfg.n, 1),
+                                 ("replicates", cfg.replicates, 1),
+                                 ("top_k", cfg.top_k, 1),
+                                 ("workers", cfg.workers, 1),
+                                 ("limit.paths", lim.paths, 1)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, "
+                                  f"got {value!r}")
         return cfg
 
 
@@ -272,22 +287,27 @@ def poissonized_surplus(record: lifo.ExplorationRecord,
 # discrete replicated runs
 
 
+def rank_components(x_mass: np.ndarray, y_mass: np.ndarray, top_k: int):
+    """The ``top_k`` components by x mass, the 1-based rank of every
+    component by y mass, and the ``top_k`` largest y masses, descending.
+    Both rankings are stable: equal masses keep exploration order."""
+    by_x = np.argsort(-x_mass, kind="stable")[:top_k]
+    y_rank = np.empty(len(y_mass), dtype=int)
+    y_rank[np.argsort(-y_mass, kind="stable")] = np.arange(1, len(y_mass) + 1)
+    return by_x.tolist(), y_rank, np.sort(y_mass)[::-1][:top_k].tolist()
+
+
 def _masses_only_replicate(pair: CriticalPair, top_k: int,
                            seed: int) -> ReplicateSummary:
     coupling = sample_conditioned(pair, seed)
     clocks = lifo.ClockSet(coupling.black_clocks, coupling.white_clocks)
     y_mass, x_mass, roots = lifo.component_masses(
         coupling.black_weights, coupling.white_weights, pair.z, clocks)
-    kappa = len(y_mass)
-    by_x = np.argsort(-x_mass, kind="stable")
-    by_y = np.argsort(-y_mass, kind="stable")
-    y_rank_of = np.empty(kappa, dtype=int)
-    y_rank_of[by_y] = np.arange(1, kappa + 1)
+    by_x, y_rank, y_ranked = rank_components(x_mass, y_mass, top_k)
     tops = [ComponentSummary(float(x_mass[c]), float(y_mass[c]),
-                             int(roots[c]), y_rank=int(y_rank_of[c]))
-            for c in by_x[:top_k]]
-    y_ranked = sorted((float(v) for v in y_mass), reverse=True)[:top_k]
-    return ReplicateSummary(0, seed, kappa, tops, y_ranked)
+                             int(roots[c]), y_rank=int(y_rank[c]))
+            for c in by_x]
+    return ReplicateSummary(0, seed, len(y_mass), tops, y_ranked)
 
 
 def _full_replicate(pair: CriticalPair, top_k: int, seed: int) -> ReplicateSummary:
@@ -312,21 +332,16 @@ def _full_replicate(pair: CriticalPair, top_k: int, seed: int) -> ReplicateSumma
     surplus_per_comp = np.zeros(kappa, dtype=int)
     np.add.at(surplus_per_comp, surplus_comp, 1)
 
-    by_x = np.argsort(-exc.x_mass, kind="stable")
-    by_y = np.argsort(-exc.y_mass, kind="stable")
-    y_rank_of = np.empty(kappa, dtype=int)
-    y_rank_of[by_y] = np.arange(1, kappa + 1)
-
+    by_x, y_rank, y_ranked = rank_components(exc.x_mass, exc.y_mass, top_k)
     tops = []
-    for c in by_x[:top_k].tolist():
+    for c in by_x:
         blacks = record.order[exc.root_jump[c]:exc.end_jump[c]]
         shortcuts = surplus[surplus_comp == c]
         tops.append(ComponentSummary(
             float(exc.x_mass[c]), float(exc.y_mass[c]), int(blacks[0]),
             surplus_count=int(surplus_per_comp[c]),
             diameter_bound=_component_diameter(record, blacks, shortcuts),
-            y_rank=int(y_rank_of[c])))
-    y_ranked = sorted(exc.y_mass.tolist(), reverse=True)[:top_k]
+            y_rank=int(y_rank[c])))
     return ReplicateSummary(0, seed, kappa, tops, y_ranked)
 
 
@@ -404,13 +419,9 @@ class LimitEnsemble:
 
 
 def top_excursion_lengths(values: np.ndarray, step: float, k: int) -> np.ndarray:
-    refl = values - np.minimum.accumulate(values)
-    pos = refl > 0
-    flips = np.diff(pos.astype(np.int8))
-    starts = np.flatnonzero(flips == 1) + 1
-    ends = np.flatnonzero(flips == -1)
-    if pos[-1]:
-        ends = np.append(ends, len(pos) - 1)
+    """The k longest excursion lengths of a grid path, descending, padded
+    with zeros."""
+    starts, ends = excursion_runs(values)
     lengths = (ends - starts + 1) * step
     top = np.sort(lengths)[::-1]
     out = np.zeros(k)
@@ -523,27 +534,23 @@ def ranking_consistency(report: RunReport, k_max: int = 1) -> RankingReport:
 # report emission
 
 
-def emit(report: RunReport, out_dir: str, formats=("csv", "json")) -> dict:
-    """Write the report as CSV tables plus a JSON summary; returns paths."""
+def emit(report: RunReport, out_dir: str) -> dict:
+    """Write the report as JSON and a CSV table, plus a JSON summary;
+    returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = {}
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w") as fh:
-            fh.write(report.canonical_json())
-        written["json"] = path
-    if "csv" in formats:
-        path = os.path.join(out_dir, "components.csv")
-        with open(path, "w") as fh:
-            fh.write("replicate,seed,kappa,rank_x,x_mass,y_mass,"
-                     "surplus_count,diameter_bound,y_rank\n")
-            for rep in report.replicates:
-                for k, comp in enumerate(rep.top_by_x):
-                    fh.write(f"{rep.index},{rep.seed},{rep.kappa},{k + 1},"
-                             f"{comp.x_mass!r},{comp.y_mass!r},"
-                             f"{comp.surplus_count},{comp.diameter_bound},"
-                             f"{comp.y_rank}\n")
-        written["csv"] = path
+    written = {"json": os.path.join(out_dir, "report.json"),
+               "csv": os.path.join(out_dir, "components.csv")}
+    with open(written["json"], "w") as fh:
+        fh.write(report.canonical_json())
+    with open(written["csv"], "w") as fh:
+        fh.write("replicate,seed,kappa,rank_x,x_mass,y_mass,"
+                 "surplus_count,diameter_bound,y_rank\n")
+        for rep in report.replicates:
+            for k, comp in enumerate(rep.top_by_x):
+                fh.write(f"{rep.index},{rep.seed},{rep.kappa},{k + 1},"
+                         f"{comp.x_mass!r},{comp.y_mass!r},"
+                         f"{comp.surplus_count},{comp.diameter_bound},"
+                         f"{comp.y_rank}\n")
     meta = os.path.join(out_dir, "summary.json")
     with open(meta, "w") as fh:
         json.dump({"schema": report.schema, "hash": report.content_hash(),

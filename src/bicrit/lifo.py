@@ -185,6 +185,18 @@ class ExplorationRecord:
         return json.dumps(payload, sort_keys=True)
 
 
+def _clock_dial(x: np.ndarray, clocks: ClockSet):
+    """The blacks and the whites in clock order, the cuts ``0, x_{V_1},
+    x_{V_1} + x_{V_2}, ...`` of the white dial, and for each black in
+    clock order the range ``[lo, hi)`` of the sorted whites whose clocks
+    fall in its interval."""
+    order = np.argsort(clocks.black, kind="stable")
+    worder = np.argsort(clocks.white, kind="stable")
+    cuts = np.concatenate([[0.0], np.cumsum(x[order])])
+    idx = np.searchsorted(clocks.white[worder], cuts, side="right")
+    return order, worder, cuts, idx[:-1], idx[1:]
+
+
 def _offspring_service(ys: np.ndarray, lo: np.ndarray,
                        hi: np.ndarray) -> np.ndarray:
     """``ys[lo[k]:hi[k]].sum()`` for every k.  Rows of equal length are
@@ -212,14 +224,7 @@ def explore(x, y, z: float, clocks: ClockSet,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = len(x), len(y)
-    eb, ew = clocks.black, clocks.white
-
-    order = np.argsort(eb, kind="stable")
-    worder = np.argsort(ew, kind="stable")
-    ew_sorted = ew[worder]
-    cuts = np.concatenate([[0.0], np.cumsum(x[order])])
-    lo = np.searchsorted(ew_sorted, cuts[:-1], side="right")
-    hi = np.searchsorted(ew_sorted, cuts[1:], side="right")
+    order, worder, cuts, lo, hi = _clock_dial(x, clocks)
     ys = y[worder]
     delta_k = _offspring_service(ys, lo, hi)     # by exploration position
 
@@ -239,7 +244,7 @@ def explore(x, y, z: float, clocks: ClockSet,
         parent_black[worder[lo[0]:hi[-1]]] = np.repeat(order, hi - lo)
 
     # python scalars in the loop: same IEEE arithmetic, less overhead
-    tb = eb[order].tolist()
+    tb = clocks.black[order].tolist()
     dk = delta_k.tolist()
     lo_l, hi_l = lo.tolist(), hi.tolist()
     wl, yl = worder.tolist(), ys.tolist()
@@ -461,18 +466,11 @@ def component_masses(x, y, z: float, clocks: ClockSet):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    eb, ew = clocks.black, clocks.white
-    order = np.argsort(eb, kind="stable")
-    tb = eb[order]
-    worder = np.argsort(ew, kind="stable")
-    ew_sorted = ew[worder]
-    ysort = y[worder]
-    cuts = np.concatenate([[0.0], np.cumsum(x[order])])
-    cum_y = np.concatenate([[0.0], np.cumsum(ysort)])
-    idx = np.searchsorted(ew_sorted, cuts, side="right")
-    delta = cum_y[idx[1:]] - cum_y[idx[:-1]]
+    order, worder, _cuts, lo, hi = _clock_dial(x, clocks)
+    cum_y = np.concatenate([[0.0], np.cumsum(y[worder])])
+    delta = cum_y[hi] - cum_y[lo]
 
-    is_root, comp = excursion_components(tb, delta)
+    is_root, comp = excursion_components(clocks.black[order], delta)
     ncomp = int(comp[-1]) + 1 if len(comp) else 0
     y_mass = np.bincount(comp, weights=delta, minlength=ncomp)
     x_mass = np.bincount(comp, weights=x[order], minlength=ncomp)

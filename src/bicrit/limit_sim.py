@@ -172,13 +172,12 @@ def simulate_levy(params: LimitParams, horizon: float, step: float,
     return GridPath(times, values, step)
 
 
-def default_truncation(params: LimitParams, horizon: float,
-                       budget: int = JUMP_BUDGET) -> float:
+def default_truncation(params: LimitParams, horizon: float) -> float:
     """Truncation level at which the expected tail-jump proposal count over
-    the horizon equals the budget."""
+    the horizon equals ``JUMP_BUDGET``."""
     a = params.alpha
     ci = params.jump_coeff
-    return (ci * (a + 1.0) * horizon / (a * budget)) ** (1.0 / a)
+    return (ci * (a + 1.0) * horizon / (a * JUMP_BUDGET)) ** (1.0 / a)
 
 
 def small_jump_variance_rate(params: LimitParams, eps: float,
@@ -228,8 +227,8 @@ def truncated_jump_mean_rate(params: LimitParams, eps: float,
     return out
 
 
-def simulate_z(params: LimitParams, horizon: float, step: float, seed,
-               truncation: float | None = None) -> GridPath:
+def simulate_z(params: LimitParams, horizon: float, step: float,
+               seed) -> GridPath:
     """One tilted path on a uniform grid.
 
     Regime 1: Gaussian increments plus the exactly integrated parabola.
@@ -253,7 +252,7 @@ def simulate_z(params: LimitParams, horizon: float, step: float, seed,
     a = params.alpha
     q = params.tilt_slope
     ci = params.jump_coeff
-    eps = default_truncation(params, horizon) if truncation is None else truncation
+    eps = default_truncation(params, horizon)
     # dominate the inhomogeneous intensity by its s = 0 envelope and thin
     base_rate = ci * (a + 1.0) / a * eps ** (-a)
     count = int(rng.poisson(base_rate * horizon))
@@ -322,32 +321,34 @@ class RankedExcursion:
     near_tie: bool = False
 
 
+def excursion_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last grid index of each maximal run on which a grid path
+    lies strictly above its running minimum, in time order."""
+    pos = values - np.minimum.accumulate(values) > 0
+    flips = np.diff(pos.astype(np.int8))
+    starts = np.flatnonzero(flips == 1) + 1
+    ends = np.flatnonzero(flips == -1)
+    if pos[-1]:
+        ends = np.append(ends, len(pos) - 1)
+    return starts, ends
+
+
 def rank_excursions(path: GridPath) -> list[RankedExcursion]:
     """Maximal grid runs with the reflected path positive, ranked by length
     (descending), ties broken by left endpoint.  Lengths within one grid
     cell of the next one are flagged as near ties."""
-    refl = path.reflected()
-    pos = refl > 0.0
-    out: list[RankedExcursion] = []
-    j = 0
-    n = len(pos)
-    while j < n:
-        if pos[j]:
-            k = j
-            while k + 1 < n and pos[k + 1]:
-                k += 1
-            g = float(path.times[j] - path.step)
-            d = float(path.times[k])
-            out.append(RankedExcursion(g, d, d - g, j, k))
-            j = k + 1
-        else:
-            j += 1
-    out.sort(key=lambda e: (-e.length, e.g))
-    for i in range(len(out) - 1):
-        if abs(out[i].length - out[i + 1].length) <= path.step:
-            out[i].near_tie = True
-            out[i + 1].near_tie = True
-    return out
+    starts, ends = excursion_runs(path.values)
+    g = path.times[starts] - path.step
+    d = path.times[ends]
+    length = d - g
+    rank = np.lexsort((g, -length))
+    length = length[rank]
+    close = np.abs(np.diff(length)) <= path.step
+    near_tie = np.append(close, False) | np.insert(close, 0, False)
+    # python scalars: a numpy float would change the repr that callers write
+    return [RankedExcursion(*row) for row in zip(
+        g[rank].tolist(), d[rank].tolist(), length.tolist(),
+        starts[rank].tolist(), ends[rank].tolist(), near_tie.tolist())]
 
 
 @dataclass
@@ -412,8 +413,7 @@ def build_limit_graph(params: LimitParams, zpath: GridPath, hpath: GridPath,
     src = np.clip(((exc.g + sample_times / rho) / zpath.step).round().astype(int),
                   0, len(hpath.values) - 1)
     values = hpath.values[src]
-    coded = CodedFunction(times=sample_times, values=values, zeta=zeta,
-                          kind="finite-range")
+    coded = CodedFunction(times=sample_times, values=values, zeta=zeta)
     window_pairs = []
     for t, t_prev in marks.pairs:
         if exc.g < t <= exc.d:

@@ -45,7 +45,6 @@ class CodedFunction:
     times: np.ndarray
     values: np.ndarray
     zeta: float
-    kind: str = "finite-range"
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -58,8 +57,6 @@ class CodedFunction:
             raise ValueError("samples must lie in [0, zeta]")
         if np.any(self.values < 0):
             raise ValueError("coding functions are nonnegative")
-        if self.kind not in ("continuous", "finite-range"):
-            raise ValueError("kind must be 'continuous' or 'finite-range'")
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
@@ -317,7 +314,7 @@ def _glue_value_fast(da, db, mu, nu, f, g):
 
 def ghp_distance(space_a: FiniteMeasuredMetricSpace,
                  space_b: FiniteMeasuredMetricSpace,
-                 mode: str = "exact-small", seed: int = 0) -> float:
+                 seed: int = 0) -> float:
     """Comparison distance between two small measured metric spaces.
 
     Searches correspondences generated by map pairs (exhaustively below the
@@ -326,9 +323,6 @@ def ghp_distance(space_a: FiniteMeasuredMetricSpace,
     exactly on the glued space.  Spaces with more than six points are
     rejected; use the coded-function comparison bound instead.
     """
-    if mode != "exact-small":
-        raise ValueError("ghp_distance computes the exact-small mode; "
-                         "use ghp_coded_bound for the coded bound")
     p, q = space_a.size, space_b.size
     if p > 6 or q > 6:
         raise ValueError("exact-small comparison is limited to six points")

@@ -228,18 +228,18 @@ def reference_paths(pair: CriticalPair, horizon: float, seed) -> ReferencePaths:
     kb = int(rng.poisson(rate_b * horizon)) if horizon > 0 else 0
     tb = np.sort(rng.uniform(0.0, horizon, size=kb))
     sb = sample_size_biased(pair.spec_b, kb, rng)
-    black = StepPath(tb, sb, drift=0.0, t_end=horizon)
+    black = StepPath(tb, sb, drift=0.0)
 
     span = float(sb.sum())
     rate_w = rw * moment(pair.spec_w, 1)
     kw = int(rng.poisson(rate_w * span)) if span > 0 else 0
     tw = np.sort(rng.uniform(0.0, span, size=kw))
     sw = sample_size_biased(pair.spec_w, kw, rng)
-    white = StepPath(tw, sw, drift=0.0, t_end=span)
+    white = StepPath(tw, sw, drift=0.0)
 
     cum_b = np.concatenate([[0.0], np.cumsum(sb)])
     at = np.asarray(white.value(cum_b))
-    composed = StepPath(tb, at[1:] - at[:-1], drift=-1.0, t_end=horizon)
+    composed = StepPath(tb, at[1:] - at[:-1], drift=-1.0)
     return ReferencePaths(black, white, composed, horizon)
 
 
@@ -330,14 +330,13 @@ def write_exponent_table(spec: WeightSpec, lams, ns, path) -> None:
                          f"{chk.target!r},{chk.rel_err!r}\n")
 
 
-def tail_lower_bound_constant(spec: WeightSpec, lam_max: float,
-                              grid: int = 200) -> float:
+def tail_lower_bound_constant(spec: WeightSpec, lam_max: float) -> float:
     """Largest C with phi_hat(lam) >= C lam^g on (0, lam_max], evaluated on
-    a log grid; positive for every exact power-tail spec."""
+    a log grid of 200 points; positive for every exact power-tail spec."""
     if not spec.heavy:
         raise ValueError("lower-bound check applies to power-tail specs")
     g = spec.params["tail_index"]
-    lams = np.geomspace(lam_max * 1e-6, lam_max, grid)
+    lams = np.geomspace(lam_max * 1e-6, lam_max, 200)
     ratios = [phi_hat_bare(spec, float(l)) / float(l) ** g for l in lams]
     return float(min(ratios))
 

@@ -15,6 +15,7 @@ makes criticality tuning possible without disturbing the tail exponent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -43,6 +44,11 @@ REGIME_MATCHED = "matched-heavy"
 
 class InvalidSpecError(ValueError):
     pass
+
+
+def is_number(value) -> bool:
+    """A real number; bools are refused."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class CriticalityError(ValueError):
@@ -82,6 +88,17 @@ class WeightSpec:
         if bad:
             raise InvalidSpecError(f"{self.kind} spec: {', '.join(bad)} "
                                    f"(expects {', '.join(expected)})")
+        if self.kind == "discrete-table":
+            v, pr = p["values"], p["probs"]
+            if not (isinstance(v, (list, tuple)) and isinstance(pr, (list, tuple))
+                    and len(v) == len(pr) > 0
+                    and all(is_number(a) for a in (*v, *pr))):
+                raise InvalidSpecError("discrete-table spec: values and probs "
+                                       "must be nonempty lists of numbers of "
+                                       "equal length")
+        elif not all(is_number(p[k]) for k in expected):
+            raise InvalidSpecError(f"{self.kind} spec: each of "
+                                   f"{', '.join(expected)} must be a number")
         if self.kind == "point-mass":
             if p["value"] <= 0:
                 raise InvalidSpecError("point mass must sit in (0, inf)")
@@ -406,5 +423,6 @@ def spec_from_dict(d: dict) -> WeightSpec:
     kind = d.pop("kind")
     label = d.pop("label", "b")
     if kind == "discrete-table":
-        d.update({k: tuple(d[k]) for k in ("values", "probs") if k in d})
+        d.update({k: tuple(d[k]) for k in ("values", "probs")
+                  if isinstance(d.get(k), list)})
     return WeightSpec(kind, d, label)

@@ -1,5 +1,6 @@
 """Object-based reference implementations of the exploration record, the
-sigma transfer and the Poissonised surplus sampler.
+sigma transfer, the Poissonised surplus sampler, the component ranking of a
+replicate and the excursion ranking of a limit path.
 
 These are the straightforward event-by-event versions the array-native code
 in ``bicrit.lifo``, ``bicrit.encoding`` and ``bicrit.harness`` replaced.  The
@@ -19,7 +20,7 @@ import numpy as np
 
 from bicrit import encoding
 from bicrit.lifo import ClockSet, QueueState
-from bicrit.limit_sim import MarkSet
+from bicrit.limit_sim import GridPath, MarkSet, RankedExcursion
 
 
 @dataclass
@@ -343,3 +344,42 @@ def sample_surplus_direct(record: SeedRecord, z: float,
             if rng.random() < p:
                 edges.append((v, j))
     return edges
+
+
+def rank_components(x_mass, y_mass, top_k: int):
+    """The ranking block each replicate kind carried inline: stable
+    argsorts by x and by y mass, and the top y masses by ``sorted``."""
+    kappa = len(y_mass)
+    by_x = np.argsort(-x_mass, kind="stable")
+    by_y = np.argsort(-y_mass, kind="stable")
+    y_rank_of = np.empty(kappa, dtype=int)
+    y_rank_of[by_y] = np.arange(1, kappa + 1)
+    y_ranked = sorted((float(v) for v in y_mass), reverse=True)[:top_k]
+    return by_x[:top_k].tolist(), y_rank_of, y_ranked
+
+
+def rank_excursions(path: GridPath) -> list[RankedExcursion]:
+    """Grid runs of the reflected path found by a scan, one grid point at a
+    time, then sorted by (-length, g) and flagged pairwise for near ties."""
+    refl = path.reflected()
+    pos = refl > 0.0
+    out: list[RankedExcursion] = []
+    j = 0
+    n = len(pos)
+    while j < n:
+        if pos[j]:
+            k = j
+            while k + 1 < n and pos[k + 1]:
+                k += 1
+            g = float(path.times[j] - path.step)
+            d = float(path.times[k])
+            out.append(RankedExcursion(g, d, d - g, j, k))
+            j = k + 1
+        else:
+            j += 1
+    out.sort(key=lambda e: (-e.length, e.g))
+    for i in range(len(out) - 1):
+        if abs(out[i].length - out[i + 1].length) <= path.step:
+            out[i].near_tie = True
+            out[i + 1].near_tie = True
+    return out

@@ -199,3 +199,51 @@ def test_cli_simulate_warns_on_partial_run(config_file, tmp_path, capsys,
                             "5 of 20 replicates\n")
     assert "hash=" in captured.out
     assert '"partial": true' in (cut / "report.json").read_text()
+
+
+@pytest.mark.parametrize("config, message", [
+    (_desk(theta="1"), "theta must be a number, got '1'"),
+    (_desk(theta=True), "theta must be a number, got True"),
+    (_desk(spec_b={"kind": "point-mass", "value": "1"}),
+     "point-mass spec: each of value must be a number"),
+    (_desk(spec_w={"kind": "exponential", "rate": True}),
+     "exponential spec: each of rate must be a number"),
+    (_desk(seed="a"), "seed must be an integer >= 0, got 'a'"),
+    (_desk(seed=True), "seed must be an integer >= 0, got True"),
+    (_desk(spec_b={"kind": "discrete-table", "values": [0.5, 2.0],
+                   "probs": [1.0]}),
+     "values and probs must be nonempty lists of numbers of equal length"),
+    (_desk(spec_b={"kind": "discrete-table", "values": [], "probs": []}),
+     "values and probs must be nonempty lists of numbers of equal length"),
+    (_desk(limit={"horizon": "10", "step": 0.001, "paths": 10}),
+     "limit.horizon must be a number, got '10'"),
+    (_desk(limit={"horizon": True, "step": 0.001, "paths": 10}),
+     "limit.horizon must be a number, got True"),
+])
+def test_cli_config_value_of_wrong_type_exits_2_with_one_line(
+        tmp_path, capsys, config, message):
+    argv = ["simulate", "--config", _write(tmp_path, config),
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("bicrit: error: ")
+    assert message in lines[0]
+
+
+def test_cli_closed_stdout_exits_1_without_traceback(config_file, tmp_path):
+    """The reader of stdout is gone before the child writes its summary."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(bicrit.__file__))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "bicrit.cli", "simulate", "--config",
+             config_file, "--replicates", "5", "--out", str(tmp_path / "o")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""

@@ -211,3 +211,20 @@ def test_step_path_csv_export(tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "t,value"
     assert len(rows) == 6
+
+
+@pytest.mark.parametrize("times", [
+    [0.5, 1.0, 2.5, 4.0],                 # sorted
+    [2.5, 0.5, 4.0, 1.0],                 # unsorted
+    [1.0, 1.0, 0.5, 1.0, 0.5],            # unsorted with ties
+    [0.5, 1.0, 1.0, 1.0],                 # sorted with ties
+    [],
+])
+def test_step_path_orders_jumps_as_a_stable_sort(times):
+    sizes = np.arange(1.0, len(times) + 1.0)
+    order = np.argsort(np.asarray(times, dtype=float), kind="stable")
+    z = enc.StepPath(times, sizes, drift=-1.0)
+    assert np.array_equal(z.jump_times, np.asarray(times, dtype=float)[order])
+    assert np.array_equal(z.jump_sizes, sizes[order])
+    assert np.array_equal(z._cum, np.concatenate([[0.0],
+                                                  np.cumsum(sizes[order])]))

@@ -320,3 +320,27 @@ def test_ks_statistic_edge_samples():
         assert math.isnan(stats.ks_2samp(np.empty(0), same).statistic)
     assert math.isnan(harness._ks_statistic(np.empty(0), same))
     assert math.isnan(harness._ks_statistic(same, np.empty(0)))
+
+
+def _ranking_cases():
+    """Integer masses with many exact ties, kappa below top_k, and
+    kappa == 0."""
+    rng = np.random.default_rng(19)
+    for kappa in (0, 1, 2, 3, 7, 50, 400):
+        for top in (1, 3, 6):
+            x = rng.integers(1, top + 1, size=kappa).astype(float)
+            y = rng.integers(1, top + 1, size=kappa).astype(float)
+            for top_k in (1, 2, 5):
+                yield x, y, top_k
+
+
+def test_rank_components_equals_argsort_oracle():
+    import seed_oracle as oracle
+    for x, y, top_k in _ranking_cases():
+        by_x, y_rank, y_top = harness.rank_components(x, y, top_k)
+        want_x, want_rank, want_top = oracle.rank_components(x, y, top_k)
+        assert by_x == want_x
+        assert np.array_equal(y_rank, want_rank)
+        assert y_top == want_top
+        assert [type(v) for v in by_x + y_top] == [type(v) for v in
+                                                   want_x + want_top]

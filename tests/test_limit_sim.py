@@ -286,3 +286,40 @@ def test_binomial_case_height_distribution():
     res = stats.ks_2samp(ours, theirs)
     crit = 1.63 * math.sqrt(2.0 / n_paths)    # 1% two-sample critical value
     assert res.statistic <= crit
+
+
+def _ranked_fields(ranked):
+    return [[(type(v), v) for v in vars(e).values()] for e in ranked]
+
+
+def _oracle_paths():
+    """70 paths per regime on a 1000-point grid, then hand-made edge cases:
+    a flat path, a one-point path, a run through the last grid point, runs
+    of equal length, and runs one grid cell apart in length."""
+    params = (unit_params(), stable_params(1.0),
+              ls.LimitParams(regime=3, theta=1.0, alpha=1.3, c_b=1.0, c_w=0.5))
+    for p in params:
+        for seed in range(70):
+            yield ls.simulate_z(p, 10.0, 1e-2, seed=seed)
+    step = 0.5
+    for values in ([0.0] * 6, [0.0], [0.0, -1.0, 0.5, 0.7],
+                   [0.0, -1.0, 1.0, -1.0, -2.0, 0.0, -2.0, -3.0],
+                   [0.0, 1.0, 2.0, -1.0, 0.0, 0.0, -2.0, 5.0, 5.0],
+                   [0.0, 1.0, 2.0, -1.0, 0.0, -2.0]):
+        values = np.asarray(values)
+        yield ls.GridPath(np.arange(len(values)) * step, values, step)
+
+
+def test_rank_excursions_equals_scan_oracle():
+    import seed_oracle as oracle
+    for path in _oracle_paths():
+        assert (_ranked_fields(ls.rank_excursions(path))
+                == _ranked_fields(oracle.rank_excursions(path)))
+
+
+def test_excursion_runs_edge_cases():
+    starts, ends = ls.excursion_runs(np.zeros(1))
+    assert starts.tolist() == [] and ends.tolist() == []
+    starts, ends = ls.excursion_runs(np.array([0.0, -1.0, 1.0, -1.0, -2.0,
+                                               0.0, 3.0]))
+    assert starts.tolist() == [2, 5] and ends.tolist() == [2, 6]
