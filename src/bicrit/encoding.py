@@ -40,12 +40,9 @@ class StepPath:
     def __post_init__(self):
         t = np.asarray(self.jump_times, dtype=float)
         s = np.asarray(self.jump_sizes, dtype=float)
-        # a stable sort of non-decreasing times is the identity: skip it
-        if not np.all(t[1:] >= t[:-1]):
-            order = np.argsort(t, kind="stable")
-            t, s = t[order], s[order]
-        self.jump_times = t
-        self.jump_sizes = s
+        order = np.argsort(t, kind="stable")
+        self.jump_times = t[order]
+        self.jump_sizes = s[order]
         self._cum = np.concatenate([[0.0], np.cumsum(self.jump_sizes)])
 
     def value(self, t):

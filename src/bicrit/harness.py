@@ -102,9 +102,9 @@ class ExperimentConfig:
         for name, value in (("theta", cfg.theta), ("limit.horizon", lim.horizon),
                             ("limit.step", lim.step)):
             if not is_number(value):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not (lim.epsilon is None or is_number(lim.epsilon)):
-            raise ConfigError(f"limit.epsilon must be a number or null, "
+            raise ConfigError(f"limit.epsilon must be a finite number or null, "
                               f"got {lim.epsilon!r}")
         for name, value, low in (("seed", cfg.seed, 0), ("n", cfg.n, 1),
                                  ("replicates", cfg.replicates, 1),

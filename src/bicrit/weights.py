@@ -47,8 +47,9 @@ class InvalidSpecError(ValueError):
 
 
 def is_number(value) -> bool:
-    """A real number; bools are refused."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite real number; bools, nan and +-inf are refused."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 class CriticalityError(ValueError):
@@ -94,11 +95,11 @@ class WeightSpec:
                     and len(v) == len(pr) > 0
                     and all(is_number(a) for a in (*v, *pr))):
                 raise InvalidSpecError("discrete-table spec: values and probs "
-                                       "must be nonempty lists of numbers of "
-                                       "equal length")
+                                       "must be nonempty lists of finite numbers "
+                                       "of equal length")
         elif not all(is_number(p[k]) for k in expected):
             raise InvalidSpecError(f"{self.kind} spec: each of "
-                                   f"{', '.join(expected)} must be a number")
+                                   f"{', '.join(expected)} must be a finite number")
         if self.kind == "point-mass":
             if p["value"] <= 0:
                 raise InvalidSpecError("point mass must sit in (0, inf)")

@@ -202,23 +202,26 @@ def test_cli_simulate_warns_on_partial_run(config_file, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("config, message", [
-    (_desk(theta="1"), "theta must be a number, got '1'"),
-    (_desk(theta=True), "theta must be a number, got True"),
+    (_desk(theta="1"), "theta must be a finite number, got '1'"),
+    (_desk(theta=True), "theta must be a finite number, got True"),
+    (_desk(theta=float("nan")), "theta must be a finite number, got nan"),
     (_desk(spec_b={"kind": "point-mass", "value": "1"}),
-     "point-mass spec: each of value must be a number"),
+     "point-mass spec: each of value must be a finite number"),
     (_desk(spec_w={"kind": "exponential", "rate": True}),
-     "exponential spec: each of rate must be a number"),
+     "exponential spec: each of rate must be a finite number"),
+    (_desk(spec_w={"kind": "exponential", "rate": float("inf")}),
+     "exponential spec: each of rate must be a finite number"),
     (_desk(seed="a"), "seed must be an integer >= 0, got 'a'"),
     (_desk(seed=True), "seed must be an integer >= 0, got True"),
     (_desk(spec_b={"kind": "discrete-table", "values": [0.5, 2.0],
                    "probs": [1.0]}),
-     "values and probs must be nonempty lists of numbers of equal length"),
+     "values and probs must be nonempty lists of finite numbers of equal length"),
     (_desk(spec_b={"kind": "discrete-table", "values": [], "probs": []}),
-     "values and probs must be nonempty lists of numbers of equal length"),
+     "values and probs must be nonempty lists of finite numbers of equal length"),
     (_desk(limit={"horizon": "10", "step": 0.001, "paths": 10}),
-     "limit.horizon must be a number, got '10'"),
+     "limit.horizon must be a finite number, got '10'"),
     (_desk(limit={"horizon": True, "step": 0.001, "paths": 10}),
-     "limit.horizon must be a number, got True"),
+     "limit.horizon must be a finite number, got True"),
 ])
 def test_cli_config_value_of_wrong_type_exits_2_with_one_line(
         tmp_path, capsys, config, message):
