@@ -40,8 +40,7 @@ def _load_config(path: str, overrides: argparse.Namespace) -> harness.Experiment
     if not isinstance(d, dict):
         raise harness.ConfigError(f"config {path} must hold a JSON object")
     for key, value in (("seed", overrides.seed),
-                       ("replicates", getattr(overrides, "replicates", None)),
-                       ("out_dir", getattr(overrides, "out", None))):
+                       ("replicates", overrides.replicates)):
         if value is not None:
             d[key] = value
     return harness.ExperimentConfig.from_dict(d)
@@ -58,8 +57,7 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, args)
     report = harness.run_discrete(cfg)
     _warn_partial(report)
-    out = cfg.out_dir or "bicrit-out"
-    written = harness.emit(report, out)
+    written = harness.emit(report, args.out or cfg.out_dir or "bicrit-out")
     print(f"replicates={len(report.replicates)} "
           f"kappa_zero={report.kappa_zero_count} hash={report.content_hash()}")
     for kind, path in written.items():
@@ -74,9 +72,7 @@ def _cmd_limit(args) -> int:
                              c_b=args.c_b, c_w=args.c_w)
     except ValueError as exc:
         raise harness.ConfigError(str(exc)) from None
-    if not (args.horizon > 0 and 0 < args.step <= 1e-3 * args.horizon):
-        raise harness.ConfigError("limit needs --horizon > 0 and --step in "
-                                  "(0, horizon / 1000]")
+    harness.check_limit_grid(args.horizon, args.step)
     if args.paths < 1 or args.top_k < 1 or args.keep_paths < 0:
         raise harness.ConfigError("limit needs --paths and --top-k of at "
                                   "least 1 and --keep-paths of at least 0")
@@ -195,7 +191,6 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int)
     p.add_argument("--replicates", type=int)
     p.add_argument("--threshold", type=float, default=0.1)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("check", help="pathwise identity suite")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import CriticalPair, sample_weights
+from .weights import sample_weights
 
 #: refuse to materialise Bernoulli matrices above this many cells
 _DENSE_CELL_CAP = 50_000_000
@@ -114,24 +114,12 @@ class BipartiteGraph:
         return "\n".join(f"b{i} w{j}" for i, j in self.edges)
 
 
-def sample_direct(pair_or_x, y_weights=None, z=None, seed=None) -> BipartiteGraph:
+def sample_direct(x, y, z: float, seed=None) -> BipartiteGraph:
     """Sample the graph edge by edge: each (i, j) present independently
-    with probability 1 - exp(-x_i y_j / z).
-
-    Either pass a CriticalPair (weights are drawn i.i.d. from its specs) or
-    explicit weight vectors plus z.
-    """
+    with probability 1 - exp(-x_i y_j / z)."""
     rng = np.random.default_rng(seed)
-    if isinstance(pair_or_x, CriticalPair):
-        pair = pair_or_x
-        x = sample_weights(pair.spec_b, pair.n, rng)
-        y = sample_weights(pair.spec_w, pair.m, rng)
-        z = pair.z
-    else:
-        x = np.asarray(pair_or_x, dtype=float)
-        y = np.asarray(y_weights, dtype=float)
-        if z is None:
-            raise ValueError("z required with explicit weights")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     n, m = len(x), len(y)
     if n * m > _DENSE_CELL_CAP:
         raise ValueError("instance too large for the dense direct sampler")
@@ -171,8 +159,6 @@ class ComponentRecord:
     x_mass: float
     y_mass: float
     edge_count: int
-    surplus_count: int = 0
-    diameter_bound: int = 0
 
     @property
     def nontrivial(self) -> bool:
@@ -203,17 +189,13 @@ class GraphDistances:
                 self._comp[v] = len(comps)
             blacks = sorted(v for v in members if v < n)
             whites = sorted(v - n for v in members if v >= n)
-            rec = ComponentRecord(
+            comps.append(ComponentRecord(
                 black_members=blacks,
                 white_members=whites,
                 x_mass=float(graph.x_weights[blacks].sum()) if blacks else 0.0,
                 y_mass=float(graph.y_weights[whites].sum()) if whites else 0.0,
                 edge_count=sum(len(graph.black_adj[i]) for i in blacks),
-            )
-            # start is the component's least combined index
-            if rec.nontrivial:
-                rec.diameter_bound = double_sweep(self.adj, start)
-            comps.append(rec)
+            ))
         self.components = comps
 
     def component_of_black(self, i: int) -> int:
@@ -261,8 +243,8 @@ class ClusteringEstimate:
     defined: bool = True
 
 
-def clustering_estimate(spec_b, spec_w, n: int, m: int, z: float | None = None,
-                        trials: int = 100_000, seed=None) -> ClusteringEstimate:
+def clustering_estimate(spec_b, spec_w, n: int, m: int, trials: int = 100_000,
+                        seed=None) -> ClusteringEstimate:
     """Monte Carlo estimate of the conditional adjacency probability
     P(V2 ~ V3 | V1 ~ V2 and V1 ~ V3) over uniform distinct triples.
 
@@ -271,12 +253,11 @@ def clustering_estimate(spec_b, spec_w, n: int, m: int, z: float | None = None,
     closed versus open wedges exactly in each sampled graph and pools the
     counts across replicate graphs until ``trials`` conditioned samples have
     been seen.  Literal rejection over raw triples would waste essentially
-    every draw at criticality.
+    every draw at criticality.  The graphs are sampled at z = sqrt(n m).
     """
     if n < 3:
         raise ValueError("need at least three black vertices")
-    if z is None:
-        z = math.sqrt(n * m)
+    z = math.sqrt(n * m)
     rng = np.random.default_rng(seed)
     wedges = 0
     closed = 0
@@ -313,8 +294,8 @@ class IsometryReport:
     violations: list[tuple[int, int, float, float]]
 
 
-def isometry_check(graph: BipartiteGraph, ig: IntersectionGraph | None = None,
-                   max_pairs: int | None = None, seed=None) -> IsometryReport:
+def isometry_check(graph: BipartiteGraph,
+                   ig: IntersectionGraph | None = None) -> IsometryReport:
     """Verify d_gr(b_i, b_j) = 2 * d_rig(i, j) for black pairs sharing a
     component, with one BFS per source black on each graph."""
     if ig is None:
@@ -323,10 +304,6 @@ def isometry_check(graph: BipartiteGraph, ig: IntersectionGraph | None = None,
     n = graph.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
              if gd.component_of_black(i) == gd.component_of_black(j)]
-    if max_pairs is not None and len(pairs) > max_pairs:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[k] for k in idx]
     violations = []
     rig: dict[int, list[int]] = {}         # intersection-graph BFS per source
     for i, j in pairs:

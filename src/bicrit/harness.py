@@ -57,6 +57,15 @@ class LimitConfig:
     epsilon: float | None = None
 
 
+def check_limit_grid(horizon: float, step: float) -> None:
+    """The grid rule of a limit path: ``simulate_z`` needs a finite
+    horizon > 0 and a step of at most a thousandth of the horizon."""
+    if not (0 < horizon < math.inf and 0 < step <= 1e-3 * horizon):
+        raise ConfigError(f"limit needs a finite horizon > 0 and step in "
+                          f"(0, horizon / 1000], got horizon={horizon!r} "
+                          f"and step={step!r}")
+
+
 @dataclass
 class ExperimentConfig:
     spec_b: WeightSpec
@@ -84,7 +93,8 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Build a config; raises ConfigError on unknown or missing keys,
         an unknown ``features`` value, a number of the wrong type, a
-        negative seed, or a count below 1."""
+        negative seed, a count below 1, or a limit grid that breaks
+        ``check_limit_grid``."""
         _check_keys(cls, d, "config")
         d = dict(d)
         d["spec_b"] = spec_from_dict(d["spec_b"])
@@ -103,6 +113,7 @@ class ExperimentConfig:
                             ("limit.step", lim.step)):
             if not is_number(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        check_limit_grid(lim.horizon, lim.step)
         if not (lim.epsilon is None or is_number(lim.epsilon)):
             raise ConfigError(f"limit.epsilon must be a finite number or null, "
                               f"got {lim.epsilon!r}")
@@ -379,24 +390,29 @@ def run_discrete(config: ExperimentConfig) -> RunReport:
 
     Deterministic given the seed: replicate seeds are spawned up front and
     results are merged in index order, so the report does not depend on the
-    worker count."""
+    worker count.  When a replicate runs out of memory, serially or in a
+    worker, the report keeps the replicates merged before it and is marked
+    partial."""
     pair = config.pair()
     validate_critical_pair(pair)
     seed_seq = np.random.SeedSequence(config.seed)
     child_seeds = [int(s.generate_state(1)[0]) for s in
                    seed_seq.spawn(config.replicates)]
     jobs = [(pair, config.top_k, config.features, s) for s in child_seeds]
+    pool = (multiprocessing.Pool(config.workers)
+            if config.workers > 1 and len(jobs) > 1 else None)
+    results = (map(_one_replicate, jobs) if pool is None
+               else pool.imap(_one_replicate, jobs, chunksize=16))
+    reps = []
     partial = False
-    if config.workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(config.workers) as pool:
-            reps = pool.map(_one_replicate, jobs, chunksize=16)
-    else:
-        reps = []
-        try:
-            for j in jobs:
-                reps.append(_one_replicate(j))
-        except MemoryError:
-            partial = True
+    try:
+        for rep in results:
+            reps.append(rep)
+    except MemoryError:
+        partial = True
+    finally:
+        if pool is not None:
+            pool.terminate()
     kappa_zero = 0
     for i, rep in enumerate(reps):
         rep.index = i
@@ -506,19 +522,19 @@ class RankingReport:
     replicates_used: int
 
 
-def ranking_consistency(report: RunReport, k_max: int = 1) -> RankingReport:
-    """Frequency with which the top components by black weight are exactly
-    the top components by white weight, plus the mass-ratio statistics."""
+def ranking_consistency(report: RunReport) -> RankingReport:
+    """Frequency with which the top component by black weight is the top
+    component by white weight, plus the mass-ratio statistics."""
     agree = 0
     used = 0
     ratios = []
     for rep in report.replicates:
-        if len(rep.top_by_x) < k_max:
+        if not rep.top_by_x:
             continue
         used += 1
-        if all(rep.top_by_x[k].y_rank == k + 1 for k in range(k_max)):
-            agree += 1
         top = rep.top_by_x[0]
+        if top.y_rank == 1:
+            agree += 1
         if top.y_mass > 0:
             ratios.append(top.x_mass / top.y_mass)
     ratios = np.asarray(ratios)

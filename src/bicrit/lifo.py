@@ -16,7 +16,6 @@ equivalence tests in this package verify.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -57,17 +56,6 @@ def sample_clocks(x, y, z: float, seed) -> ClockSet:
                     ew[k - len(eb)] = rng.exponential(z / y[k - len(eb)])
         both = np.concatenate([eb, ew])
     return ClockSet(eb, ew)
-
-
-@dataclass
-class QueueState:
-    """Queue snapshot after a step: (white label, remaining service) pairs
-    listed from the head, plus the two dials."""
-
-    entries: list[tuple[int, float]]
-    tau_b: float
-    tau_w: float
-    step: int
 
 
 @dataclass
@@ -119,7 +107,6 @@ class ExplorationRecord:
     cand_ptr: np.ndarray
     cand_white: np.ndarray
     cand_remaining: np.ndarray
-    queue_history: list[QueueState] | None = None
 
     @property
     def n(self) -> int:
@@ -153,37 +140,6 @@ class ExplorationRecord:
         edges += zip(blacks.tolist(), self.parent_white[blacks].tolist())
         return sorted(set(edges))
 
-    def to_json(self) -> str:
-        worder = self.worder.tolist()
-        payload = {
-            "x": self.x.tolist(),
-            "y": self.y.tolist(),
-            "z": self.z,
-            "black_clocks": self.clocks.black.tolist(),
-            "white_clocks": self.clocks.white.tolist(),
-            "order": self.order.tolist(),
-            "intervals": self.intervals.tolist(),
-            "offspring": [worder[a:b] for a, b in
-                          zip(self.offspring_lo.tolist(),
-                              self.offspring_hi.tolist())],
-            "delta": self.delta.tolist(),
-            "parent_white": self.parent_white.tolist(),
-            "parent_black": self.parent_black.tolist(),
-            "roots": self.roots,
-            "steps": self.steps,
-            "candidates": [
-                [k, v, [[j, r] for j, r in cand]]
-                for k, v, cand in self.candidates
-            ],
-        }
-        if self.queue_history is not None:
-            payload["queue_history"] = [
-                {"entries": [[j, r] for j, r in q.entries],
-                 "tau_b": q.tau_b, "tau_w": q.tau_w, "step": q.step}
-                for q in self.queue_history
-            ]
-        return json.dumps(payload, sort_keys=True)
-
 
 def _clock_dial(x: np.ndarray, clocks: ClockSet):
     """The blacks and the whites in clock order, the cuts ``0, x_{V_1},
@@ -210,8 +166,7 @@ def _offspring_service(ys: np.ndarray, lo: np.ndarray,
     return out
 
 
-def explore(x, y, z: float, clocks: ClockSet,
-            record_queue: bool = False) -> ExplorationRecord:
+def explore(x, y, z: float, clocks: ClockSet) -> ExplorationRecord:
     """Run the queue construction to completion.
 
     Deterministic given its inputs.  Implements both branches of the step
@@ -263,7 +218,6 @@ def explore(x, y, z: float, clocks: ClockSet,
     c_len: list[int] = []
     c_white: list[int] = []
     c_rem: list[float] = []
-    history: list[QueueState] | None = [] if record_queue else None
 
     # queue as two parallel stacks: list end = queue head (served first)
     qw: list[int] = []
@@ -318,9 +272,6 @@ def explore(x, y, z: float, clocks: ClockSet,
                 q_load.append(load)
                 q_piece.append(len(p_t0))
             k += 1
-        if history is not None:
-            history.append(QueueState(list(zip(reversed(qw), reversed(qr))),
-                                      tau_b, cuts[k], steps))
 
     parent_white = np.full(n, -1, dtype=int)
     cand_black = order[np.asarray(c_k, dtype=int)]
@@ -341,8 +292,7 @@ def explore(x, y, z: float, clocks: ClockSet,
         cand_step=np.asarray(c_step, dtype=int), cand_black=cand_black,
         cand_ptr=np.concatenate([[0], np.cumsum(c_len, dtype=int)]),
         cand_white=np.asarray(c_white, dtype=int),
-        cand_remaining=np.asarray(c_rem, dtype=float),
-        queue_history=history)
+        cand_remaining=np.asarray(c_rem, dtype=float))
 
 
 def lifo_genealogy(arrivals, services) -> tuple[np.ndarray, list[int]]:

@@ -159,15 +159,7 @@ def simulate_levy(params: LimitParams, horizon: float, step: float,
     """One untilted path on a uniform grid, with exact-in-law increments."""
     n_steps = int(round(horizon / step))
     times = np.arange(n_steps + 1) * step
-    rng = np.random.default_rng(seed)
-    if params.regime == 1:
-        inc = rng.normal(0.0, math.sqrt(params.jump_coeff * step), size=n_steps)
-    else:
-        from scipy import stats
-
-        scale = stable_scale(params.psi_coeff * step, params.alpha)
-        inc = stats.levy_stable.rvs(params.alpha, 1.0, loc=0.0, scale=scale,
-                                    size=n_steps, random_state=rng)
+    inc = levy_endpoints(params, step, n_steps, seed)
     values = np.concatenate([[0.0], np.cumsum(inc)])
     return GridPath(times, values, step)
 
@@ -240,14 +232,13 @@ def simulate_z(params: LimitParams, horizon: float, step: float,
         return GridPath(np.zeros(1), np.zeros(1), step)
     if step > 1e-3 * horizon:
         raise ValueError("step must not exceed horizon / 1000")
+    if params.regime == 1:
+        path = simulate_levy(params, horizon, step, seed)
+        path.values = path.values - drift_integral(params, path.times)
+        return path
     n_steps = int(round(horizon / step))
     times = np.arange(n_steps + 1) * step
     rng = np.random.default_rng(seed)
-    if params.regime == 1:
-        inc = rng.normal(0.0, math.sqrt(params.jump_coeff * step), size=n_steps)
-        noise = np.concatenate([[0.0], np.cumsum(inc)])
-        values = noise - drift_integral(params, times)
-        return GridPath(times, values, step)
 
     a = params.alpha
     q = params.tilt_slope

@@ -36,6 +36,7 @@ TRIANGLE_TOL = 1e-9
 _EXHAUSTIVE_CAP = 1500
 _PRUNED_CAP = 11_000_000     # vectorised distortion scan, value on best few
 _TOP_CANDIDATES = 1500
+_LOCAL_RESTARTS = 40         # random starts of the search above _PRUNED_CAP
 
 
 @dataclass
@@ -98,7 +99,6 @@ def _pairwise_coded(values: np.ndarray) -> np.ndarray:
 class FiniteMeasuredMetricSpace:
     dist: np.ndarray
     masses: np.ndarray
-    labels: list | None = None
 
     def __post_init__(self):
         self.dist = np.asarray(self.dist, dtype=float)
@@ -143,9 +143,8 @@ class FiniteMeasuredMetricSpace:
         np.savetxt(path, block, delimiter=",")
 
 
-def _merge_classes(dist: np.ndarray, masses: np.ndarray,
-                   tol: float = MERGE_TOL):
-    """Union points at mutual distance below tol; masses add up."""
+def _merge_classes(dist: np.ndarray, masses: np.ndarray):
+    """Union points at mutual distance below MERGE_TOL; masses add up."""
     n = len(masses)
     parent = list(range(n))
 
@@ -157,7 +156,7 @@ def _merge_classes(dist: np.ndarray, masses: np.ndarray,
 
     for a in range(n):
         for b in range(a + 1, n):
-            if dist[a, b] < tol:
+            if dist[a, b] < MERGE_TOL:
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[rb] = ra
@@ -369,11 +368,11 @@ def _ghp_pruned(da, db, mu, nu, seed) -> float:
     return best
 
 
-def _ghp_local_search(da, db, mu, nu, seed, restarts: int = 40) -> float:
+def _ghp_local_search(da, db, mu, nu, seed) -> float:
     p, q = len(mu), len(nu)
     rng = np.random.default_rng(seed)
     best = math.inf
-    for _ in range(restarts):
+    for _ in range(_LOCAL_RESTARTS):
         f = list(rng.integers(0, q, size=p))
         g = list(rng.integers(0, p, size=q))
         cur = _glue_value_fast(da, db, mu, nu, tuple(f), tuple(g))

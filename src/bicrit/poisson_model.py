@@ -291,19 +291,15 @@ class ScaledExponentCheck:
     regime: str
 
 
-def scaled_exponent_limit(spec: WeightSpec, lam: float, n: float,
-                          regime: str | None = None) -> ScaledExponentCheck:
+def scaled_exponent_limit(spec: WeightSpec, lam: float,
+                          n: float) -> ScaledExponentCheck:
     """Rescaled compensated exponent against its large-n limit.
 
     Third-moment laws: n^{2/3} phi_hat(n^{-1/3} lam) -> (sigma_3 / 2) lam^2.
     Power tails with index g: n^{g/(g+1)} phi_hat(n^{-1/(g+1)} lam) ->
     tail_constant * limit_constant(g) * lam^g.
     """
-    inferred = "power" if spec.heavy else "third"
-    if regime is None:
-        regime = inferred
-    if regime != inferred:
-        raise ValueError(f"spec is in the {inferred!r} regime, not {regime!r}")
+    regime = "power" if spec.heavy else "third"
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if regime == "third":

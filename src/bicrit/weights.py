@@ -167,20 +167,14 @@ def power_tail(tail_index: float, tail_constant: float, cutoff: float = 1.0,
     )
 
 
-def moment(spec: WeightSpec, r: float, method: str = "closed") -> float:
-    """r-th moment of the law, +inf when the integral diverges.
-
-    ``method="closed"`` uses exact formulas; ``method="quadrature"`` runs an
-    adaptive quadrature (continuous kinds only) with relative error target
-    QUADRATURE_RTOL.  Divergent cases are detected analytically either way.
-    """
+def moment(spec: WeightSpec, r: float) -> float:
+    """r-th moment of the law from exact formulas, +inf when the integral
+    diverges."""
     if r <= 0:
         raise ValueError("moment order must be positive")
     p = spec.params
     if spec.kind == "power-tail" and r >= p["tail_index"] + 1.0:
         return math.inf
-    if method == "quadrature":
-        return _moment_quadrature(spec, r)
     if spec.kind == "point-mass":
         return p["value"] ** r
     if spec.kind == "exponential":
@@ -200,6 +194,8 @@ def moment(spec: WeightSpec, r: float, method: str = "closed") -> float:
 
 
 def _moment_quadrature(spec: WeightSpec, r: float) -> float:
+    """Reference for ``moment`` at a finite order: an adaptive quadrature
+    (continuous kinds) with relative error target QUADRATURE_RTOL."""
     from scipy import integrate
 
     p = spec.params

@@ -12,14 +12,13 @@ time, which picks the same piece unless that piece has zero length.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from bicrit import encoding
-from bicrit.lifo import ClockSet, QueueState
+from bicrit.lifo import ClockSet
 from bicrit.limit_sim import GridPath, MarkSet, RankedExcursion
 
 
@@ -62,39 +61,9 @@ class SeedRecord:
     candidates: list[tuple[int, int, list[tuple[int, float]]]]
     serving: list[ServingPiece]
     point_services: list[PointService]
-    queue_history: list[QueueState] | None = None
-
-    def to_json(self) -> str:
-        payload = {
-            "x": self.x.tolist(),
-            "y": self.y.tolist(),
-            "z": self.z,
-            "black_clocks": self.clocks.black.tolist(),
-            "white_clocks": self.clocks.white.tolist(),
-            "order": self.order.tolist(),
-            "intervals": self.intervals.tolist(),
-            "offspring": [o.tolist() for o in self.offspring],
-            "delta": self.delta.tolist(),
-            "parent_white": self.parent_white.tolist(),
-            "parent_black": self.parent_black.tolist(),
-            "roots": self.roots,
-            "steps": self.steps,
-            "candidates": [
-                [k, v, [[j, r] for j, r in cand]]
-                for k, v, cand in self.candidates
-            ],
-        }
-        if self.queue_history is not None:
-            payload["queue_history"] = [
-                {"entries": [[j, r] for j, r in q.entries],
-                 "tau_b": q.tau_b, "tau_w": q.tau_w, "step": q.step}
-                for q in self.queue_history
-            ]
-        return json.dumps(payload, sort_keys=True)
 
 
-def explore(x, y, z: float, clocks: ClockSet,
-            record_queue: bool = False) -> SeedRecord:
+def explore(x, y, z: float, clocks: ClockSet) -> SeedRecord:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = len(x), len(y)
@@ -123,11 +92,9 @@ def explore(x, y, z: float, clocks: ClockSet,
     candidates: list[tuple[int, int, list[tuple[int, float]]]] = []
     serving: list[ServingPiece] = []
     point_services: list[PointService] = []
-    history: list[QueueState] | None = [] if record_queue else None
 
     queue: list[list] = []          # [white_id, remaining]; end = head
     tau_b = 0.0
-    tau_w = 0.0
     load = 0.0
     steps = 0
     kptr = 0
@@ -139,12 +106,6 @@ def explore(x, y, z: float, clocks: ClockSet,
         for j in kids[::-1]:
             queue.append([int(j), y[j]])
 
-    def snapshot():
-        if history is not None:
-            history.append(QueueState(
-                entries=[(int(j), float(r)) for j, r in reversed(queue)],
-                tau_b=tau_b, tau_w=tau_w, step=steps))
-
     while True:
         if not queue:
             if kptr >= n:
@@ -153,13 +114,11 @@ def explore(x, y, z: float, clocks: ClockSet,
             v = int(order[kptr])
             kptr += 1
             tau_b = eb[v]
-            tau_w += x[v]
             roots.append(v)
             push_offspring(v)
             load += delta[v]
             if delta[v] == 0.0:
                 point_services.append(PointService(tau_b, v, load, len(serving)))
-            snapshot()
             continue
 
         head = queue[-1]
@@ -178,12 +137,10 @@ def explore(x, y, z: float, clocks: ClockSet,
             candidates.append((steps, v,
                                [(int(j), float(r)) for j, r in reversed(queue)]))
             tau_b = t_next
-            tau_w += x[v]
             push_offspring(v)
             load += delta[v]
             if delta[v] == 0.0:
                 point_services.append(PointService(tau_b, v, load, len(serving)))
-            snapshot()
         else:
             steps += 1
             serving.append(ServingPiece(tau_b, finish, int(parent_black[head[0]]),
@@ -191,14 +148,12 @@ def explore(x, y, z: float, clocks: ClockSet,
             load -= head[1]
             tau_b = finish
             queue.pop()
-            snapshot()
 
     return SeedRecord(
         x=x, y=y, z=z, clocks=clocks, order=order, intervals=intervals,
         offspring=offspring, delta=delta, parent_white=parent_white,
         parent_black=parent_black, roots=roots, steps=steps,
-        candidates=candidates, serving=serving, point_services=point_services,
-        queue_history=history)
+        candidates=candidates, serving=serving, point_services=point_services)
 
 
 def sigma_transfer(record: SeedRecord) -> encoding.SigmaTransfer:

@@ -187,7 +187,7 @@ def test_criterion_7_scaling_surrogate(headline_run, limit_ensemble):
 
 
 def test_criterion_8_ranking_surrogate(headline_run):
-    rep = harness.ranking_consistency(headline_run, 1)
+    rep = harness.ranking_consistency(headline_run)
     ok = rep.agreement_frequency >= 0.9 and abs(rep.ratio_mean - 1.0) <= 0.05
     report("8 ranking-surrogate", ok,
            f"agreement={rep.agreement_frequency:.4f} >= 0.9, "

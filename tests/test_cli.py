@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -65,6 +67,9 @@ def _write(tmp_path, d):
     return str(path)
 
 
+GRID_RULE = "limit needs a finite horizon > 0 and step in (0, horizon / 1000]"
+
+
 def _desk(**changes):
     cfg = ExperimentConfig(spec_b=point_mass(1.0), spec_w=point_mass(1.0),
                            theta=1.0, n=100, replicates=5, seed=1,
@@ -92,18 +97,26 @@ def _desk(**changes):
      "stable regimes need alpha in (1, 2)"),
     ("limit", None, ["--regime", "3"], "regime 3 needs both tail constants"),
     ("limit", None, ["--regime", "1", "--theta", "0"], "theta must be positive"),
-    ("limit", None, ["--regime", "2", "--step", "0"], "--step in (0, horizon / 1000]"),
+    ("limit", None, ["--regime", "2", "--step", "0"], GRID_RULE),
     ("limit", None, ["--regime", "1", "--paths", "-1"], "limit needs --paths"),
     ("limit", None, ["--regime", "2", "--epsilon", "0"], "--epsilon must be positive"),
     ("check", None, ["--instances", "-3"], "check needs --instances"),
     ("check", None, ["--instances", "0"], "check needs --instances"),
     ("check", None, ["--max-side", "0"], "--max-side of at least 1"),
+    ("compare", _desk(limit={"horizon": 10.0, "step": 0.5, "paths": 10}), [],
+     GRID_RULE + ", got horizon=10.0 and step=0.5"),
+    ("simulate", _desk(limit={"horizon": -1.0, "step": 1e-3, "paths": 10}), [],
+     GRID_RULE),
+    ("limit", None, ["--regime", "1", "--horizon", "-1"], GRID_RULE),
+    ("limit", None, ["--regime", "1", "--horizon", "inf"], GRID_RULE),
 ])
 def test_cli_invalid_input_exits_2_with_one_line(tmp_path, capsys, command,
                                                   config, extra, message):
     argv = [command] + extra
     if config is not None:
-        argv += ["--config", _write(tmp_path, config), "--out", str(tmp_path / "o")]
+        argv += ["--config", _write(tmp_path, config)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -199,6 +212,45 @@ def test_cli_simulate_warns_on_partial_run(config_file, tmp_path, capsys,
                             "5 of 20 replicates\n")
     assert "hash=" in captured.out
     assert '"partial": true' in (cut / "report.json").read_text()
+
+
+def test_cli_simulate_hash_ignores_out(config_file, tmp_path, capsys):
+    hashes = []
+    for name in ("a", "b"):
+        argv = ["simulate", "--config", config_file, "--replicates", "3",
+                "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        hashes.append(re.search(r"hash=(\w+)", capsys.readouterr().out)[1])
+    assert hashes[0] == hashes[1]
+    assert ((tmp_path / "a" / "report.json").read_bytes()
+            == (tmp_path / "b" / "report.json").read_bytes())
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched replicate only when forked")
+def test_cli_simulate_partial_run_with_workers(tmp_path, capfd, monkeypatch):
+    from bicrit import harness
+    config = _write(tmp_path, _desk(replicates=40, workers=2))
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "whole")]) == 0
+    capfd.readouterr()
+    whole = json.loads((tmp_path / "whole" / "report.json").read_text())
+    bad_seed = whole["replicates"][20]["seed"]
+    real = harness._masses_only_replicate
+
+    def capped(pair, top_k, seed):
+        if seed == bad_seed:
+            raise MemoryError
+        return real(pair, top_k, seed)
+
+    monkeypatch.setattr(harness, "_masses_only_replicate", capped)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "cut")]) == 0
+    captured = capfd.readouterr()
+    cut = json.loads((tmp_path / "cut" / "report.json").read_text())
+    assert cut["partial"] is True
+    assert 0 < len(cut["replicates"]) <= 20
+    assert cut["replicates"] == whole["replicates"][:len(cut["replicates"])]
+    assert captured.err == (f"bicrit: warning: out of memory; the report holds "
+                            f"{len(cut['replicates'])} of 40 replicates\n")
 
 
 @pytest.mark.parametrize("config, message", [

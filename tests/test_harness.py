@@ -177,7 +177,7 @@ def test_compare_with_limit_and_negative_control():
 def test_ranking_consistency_degenerate():
     cfg = small_config(replicates=1, features="masses")
     report = harness.run_discrete(cfg)
-    rep = harness.ranking_consistency(report, 1)
+    rep = harness.ranking_consistency(report)
     assert rep.agreement_frequency in (0.0, 1.0)
 
 
@@ -186,7 +186,7 @@ def test_ranking_consistency_ratio_near_rho():
         spec_b=point_mass(1.0), spec_w=point_mass(1.0), theta=1.0, n=1000,
         replicates=300, seed=8, top_k=1, features="masses")
     report = harness.run_discrete(cfg)
-    rep = harness.ranking_consistency(report, 1)
+    rep = harness.ranking_consistency(report)
     assert rep.agreement_frequency >= 0.8
     assert abs(rep.ratio_mean - 1.0) <= 0.1
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,9 +15,9 @@ FIG_EB = np.array([4.854, 1.484, 6.43, 2.262, 2.965, 8.76])
 FIG_EW = np.array([3.107, 8.758, 7.0, 0.889, 1.616])
 
 
-def fig_record(record_queue=False):
+def fig_record():
     clocks = lifo.ClockSet(FIG_EB, FIG_EW)
-    return lifo.explore(FIG_X, FIG_Y, 3.0, clocks, record_queue=record_queue)
+    return lifo.explore(FIG_X, FIG_Y, 3.0, clocks)
 
 
 def test_single_pair():
@@ -30,9 +29,14 @@ def test_single_pair():
 
 
 def test_fixture_queue_state_after_step_two():
-    rec = fig_record(record_queue=True)
-    entries = [(j, round(r, 6)) for j, r in rec.queue_history[1].entries]
-    assert entries == [(0, 1.973), (3, round(1.969 - (2.262 - 1.484), 6)), (4, 1.43)]
+    # step 2: black 3 interrupts white 3 and queues its offspring on top
+    rec = fig_record()
+    step, black, queue = rec.candidates[0]
+    assert (step, black) == (2, 3)
+    assert [(j, round(r, 6)) for j, r in queue] == [
+        (3, round(1.969 - (2.262 - 1.484), 6)), (4, 1.43)]
+    kids = rec.worder[rec.offspring_lo[3]:rec.offspring_hi[3]].tolist()
+    assert [(j, round(FIG_Y[j], 6)) for j in kids] == [(0, 1.973)]
 
 
 def test_fixture_forest_and_step_count():
@@ -191,14 +195,10 @@ def test_component_masses_vectorised_matches_explore():
 
 
 def test_record_json_round_trip_golden():
-    rec = fig_record(record_queue=True)
-    payload = json.loads(rec.to_json())
-    assert payload["steps"] == 11
-    assert payload["roots"] == [1, 5]
-    assert payload["order"] == [1, 3, 4, 0, 2, 5]
-    assert len(payload["queue_history"]) == 11
-    # stability of the serialised trace
-    assert rec.to_json() == fig_record(record_queue=True).to_json()
+    rec = fig_record()
+    assert rec.steps == 11
+    assert rec.roots == [1, 5]
+    assert rec.order.tolist() == [1, 3, 4, 0, 2, 5]
 
 
 def test_clock_collision_redraw():

@@ -41,9 +41,8 @@ def assert_same(a, b, what):
 def test_record_sigma_and_surplus_match_oracle(law):
     for seed in range(INSTANCES):
         x, y, z, clocks = oracle_instance(law, seed)
-        record_queue = seed % 3 == 0
-        rec = lifo.explore(x, y, z, clocks, record_queue=record_queue)
-        ref = oracle.explore(x, y, z, clocks, record_queue=record_queue)
+        rec = lifo.explore(x, y, z, clocks)
+        ref = oracle.explore(x, y, z, clocks)
         ctx = f"law={law} seed={seed}"
 
         for name in ("order", "intervals", "delta", "parent_white",
@@ -65,8 +64,6 @@ def test_record_sigma_and_surplus_match_oracle(law):
                     np.array(points, dtype=float).reshape(-1, 4),
                     f"points {ctx}")
         assert rec.candidates == ref.candidates, ctx
-        assert rec.queue_history == ref.queue_history, ctx
-        assert rec.to_json() == ref.to_json(), ctx
 
         sigma = encoding.sigma_transfer(rec)
         ref_sigma = oracle.sigma_transfer(ref)

@@ -157,8 +157,6 @@ def test_scaled_exponent_examples():
     chk = pm.scaled_exponent_limit(exponential(1.0), 1.0, 1e8)
     assert chk.target == pytest.approx(3.0)
     assert chk.rel_err <= 0.05
-    with pytest.raises(ValueError):
-        pm.scaled_exponent_limit(point_mass(1.0), 1.0, 1e6, regime="power")
 
 
 def test_scaled_exponent_monotone_in_n():
