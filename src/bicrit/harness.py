@@ -299,13 +299,29 @@ def poissonized_surplus(record: lifo.ExplorationRecord,
 
 
 def rank_components(x_mass: np.ndarray, y_mass: np.ndarray, top_k: int):
-    """The ``top_k`` components by x mass, the 1-based rank of every
-    component by y mass, and the ``top_k`` largest y masses, descending.
-    Both rankings are stable: equal masses keep exploration order."""
-    by_x = np.argsort(-x_mass, kind="stable")[:top_k]
-    y_rank = np.empty(len(y_mass), dtype=int)
-    y_rank[np.argsort(-y_mass, kind="stable")] = np.arange(1, len(y_mass) + 1)
-    return by_x.tolist(), y_rank, np.sort(y_mass)[::-1][:top_k].tolist()
+    """The ``top_k`` components by x mass, the 1-based rank by y mass of
+    each of them, and the ``top_k`` largest y masses, descending.  Both
+    rankings are stable: equal masses keep exploration order.
+
+    Only what is reported is sorted.  The components with x mass at or
+    above the ``top_k``-th largest hold the top ``top_k``; they are taken in
+    exploration order, so a stable sort of them is the head of the stable
+    order of all.  The stable rank of component c by y mass is
+    ``#(y > y_c) + #(y[:c] == y_c) + 1``.
+    """
+    kappa = len(y_mass)
+    if kappa > top_k:
+        cut = kappa - top_k
+        cand = np.flatnonzero(x_mass >= np.partition(x_mass, cut)[cut])
+        y_top = np.partition(y_mass, cut)[cut:]
+    else:
+        cand = np.arange(kappa)
+        y_top = y_mass
+    by_x = cand[np.argsort(-x_mass[cand], kind="stable")[:top_k]].tolist()
+    y_rank = [int(np.count_nonzero(y_mass > y_mass[c])
+                  + np.count_nonzero(y_mass[:c] == y_mass[c])) + 1
+              for c in by_x]
+    return by_x, y_rank, np.sort(y_top)[::-1].tolist()
 
 
 def _masses_only_replicate(pair: CriticalPair, top_k: int,
@@ -316,8 +332,8 @@ def _masses_only_replicate(pair: CriticalPair, top_k: int,
         coupling.black_weights, coupling.white_weights, pair.z, clocks)
     by_x, y_rank, y_ranked = rank_components(x_mass, y_mass, top_k)
     tops = [ComponentSummary(float(x_mass[c]), float(y_mass[c]),
-                             int(roots[c]), y_rank=int(y_rank[c]))
-            for c in by_x]
+                             int(roots[c]), y_rank=rank)
+            for c, rank in zip(by_x, y_rank)]
     return ReplicateSummary(0, seed, len(y_mass), tops, y_ranked)
 
 
@@ -345,14 +361,14 @@ def _full_replicate(pair: CriticalPair, top_k: int, seed: int) -> ReplicateSumma
 
     by_x, y_rank, y_ranked = rank_components(exc.x_mass, exc.y_mass, top_k)
     tops = []
-    for c in by_x:
+    for c, rank in zip(by_x, y_rank):
         blacks = record.order[exc.root_jump[c]:exc.end_jump[c]]
         shortcuts = surplus[surplus_comp == c]
         tops.append(ComponentSummary(
             float(exc.x_mass[c]), float(exc.y_mass[c]), int(blacks[0]),
             surplus_count=int(surplus_per_comp[c]),
             diameter_bound=_component_diameter(record, blacks, shortcuts),
-            y_rank=int(y_rank[c])))
+            y_rank=rank))
     return ReplicateSummary(0, seed, kappa, tops, y_ranked)
 
 

@@ -45,7 +45,7 @@ def sample_clocks(x, y, z: float, seed) -> ClockSet:
     eb = rng.exponential(z / x)
     ew = rng.exponential(z / y)
     both = np.concatenate([eb, ew])
-    while len(np.unique(both)) < len(both):
+    while not _strictly_increasing(np.sort(both)):
         # redraw every clock involved in a collision
         vals, counts = np.unique(both, return_counts=True)
         for v in vals[counts > 1]:
@@ -141,14 +141,39 @@ class ExplorationRecord:
         return sorted(set(edges))
 
 
+def _strictly_increasing(a: np.ndarray) -> bool:
+    return bool((a[1:] > a[:-1]).all())
+
+
+def clock_order(a: np.ndarray) -> np.ndarray:
+    """``np.argsort(a, kind="stable")``, at the cost of a default argsort
+    when ``a`` holds no exact tie.
+
+    Without ties every sorting permutation is the stable one, so the
+    default sort's permutation is kept when its sorted keys strictly
+    increase.  Clocks tie with probability zero, but conditioned samples
+    are not redrawn on a tie, so a tie falls back to the stable sort.
+    """
+    order = np.argsort(a)
+    if _strictly_increasing(a[order]):
+        return order
+    return np.argsort(a, kind="stable")
+
+
 def _clock_dial(x: np.ndarray, clocks: ClockSet):
-    """The blacks and the whites in clock order, the cuts ``0, x_{V_1},
-    x_{V_1} + x_{V_2}, ...`` of the white dial, and for each black in
-    clock order the range ``[lo, hi)`` of the sorted whites whose clocks
-    fall in its interval."""
-    order = np.argsort(clocks.black, kind="stable")
-    worder = np.argsort(clocks.white, kind="stable")
+    """The blacks in clock order, the whites under the dial in clock order,
+    the cuts ``0, x_{V_1}, x_{V_1} + x_{V_2}, ...`` of the white dial, and
+    for each black in clock order the range ``[lo, hi)`` of the sorted
+    whites whose clocks fall in its interval.
+
+    Only the whites with clock at most ``cuts[-1]`` are sorted: no interval
+    reaches past that cut, and those whites, taken in label order and
+    sorted stably, are exactly the head of the stable order of all whites.
+    """
+    order = clock_order(clocks.black)
     cuts = np.concatenate([[0.0], np.cumsum(x[order])])
+    under = np.flatnonzero(clocks.white <= cuts[-1])
+    worder = under[clock_order(clocks.white[under])]
     idx = np.searchsorted(clocks.white[worder], cuts, side="right")
     return order, worder, cuts, idx[:-1], idx[1:]
 
@@ -182,6 +207,12 @@ def explore(x, y, z: float, clocks: ClockSet) -> ExplorationRecord:
     order, worder, cuts, lo, hi = _clock_dial(x, clocks)
     ys = y[worder]
     delta_k = _offspring_service(ys, lo, hi)     # by exploration position
+    wl, yl = worder.tolist(), ys.tolist()
+    # the whites beyond the dial, sorted after those under it, complete
+    # the stable clock order of every white
+    rest = np.flatnonzero(clocks.white > cuts[-1])
+    worder = np.concatenate([worder, rest[clock_order(clocks.white[rest])]])
+    del rest
 
     intervals = np.empty((n, 2))
     intervals[order, 0] = cuts[:-1]
@@ -202,7 +233,6 @@ def explore(x, y, z: float, clocks: ClockSet) -> ExplorationRecord:
     tb = clocks.black[order].tolist()
     dk = delta_k.tolist()
     lo_l, hi_l = lo.tolist(), hi.tolist()
-    wl, yl = worder.tolist(), ys.tolist()
 
     p_t0: list[float] = []
     p_t1: list[float] = []
@@ -418,7 +448,9 @@ def component_masses(x, y, z: float, clocks: ClockSet):
     y = np.asarray(y, dtype=float)
     order, worder, _cuts, lo, hi = _clock_dial(x, clocks)
     cum_y = np.concatenate([[0.0], np.cumsum(y[worder])])
+    del worder, _cuts
     delta = cum_y[hi] - cum_y[lo]
+    del cum_y, lo, hi
 
     is_root, comp = excursion_components(clocks.black[order], delta)
     ncomp = int(comp[-1]) + 1 if len(comp) else 0

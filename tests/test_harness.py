@@ -324,7 +324,8 @@ def test_ks_statistic_edge_samples():
 
 def _ranking_cases():
     """Integer masses with many exact ties, kappa below top_k, and
-    kappa == 0."""
+    kappa == 0; all masses equal, as under point-mass weights; and ties at
+    the top_k-th largest mass, where the partition takes its threshold."""
     rng = np.random.default_rng(19)
     for kappa in (0, 1, 2, 3, 7, 50, 400):
         for top in (1, 3, 6):
@@ -332,6 +333,13 @@ def _ranking_cases():
             y = rng.integers(1, top + 1, size=kappa).astype(float)
             for top_k in (1, 2, 5):
                 yield x, y, top_k
+    for kappa in (1, 4, 9):
+        for top_k in (1, 3, 10):
+            yield np.full(kappa, 2.5), np.full(kappa, 0.75), top_k
+    threshold_tie = np.array([1.0, 3.0, 2.0, 1.0, 2.0, 2.0, 0.5])
+    for top_k in (2, 3, 4, 5):
+        yield threshold_tie, threshold_tie[::-1].copy(), top_k
+        yield threshold_tie, threshold_tie, top_k
 
 
 def test_rank_components_equals_argsort_oracle():
@@ -340,7 +348,57 @@ def test_rank_components_equals_argsort_oracle():
         by_x, y_rank, y_top = harness.rank_components(x, y, top_k)
         want_x, want_rank, want_top = oracle.rank_components(x, y, top_k)
         assert by_x == want_x
-        assert np.array_equal(y_rank, want_rank)
+        assert y_rank == want_rank[want_x].tolist()
         assert y_top == want_top
-        assert [type(v) for v in by_x + y_top] == [type(v) for v in
-                                                   want_x + want_top]
+        assert [type(v) for v in by_x + y_rank + y_top] == [
+            type(v) for v in want_x + want_rank[want_x].tolist() + want_top]
+
+
+def test_masses_summary_equals_mass_fields_of_full_summary():
+    """Pathwise: for one seed, the masses-only replicate reports the mass
+    fields of the full replicate.  The two sum each component's white
+    weights in different orders, so y masses agree to rounding only, and
+    so do y ranks among components whose y masses are equal up to that
+    rounding: under point-mass whites, two components with as many whites
+    get y masses a few ulps apart, in either order.  Each y rank must lie
+    in the band of ranks such a near tie allows; without one, the band is
+    a single rank."""
+    from bicrit.poisson_model import sample_conditioned
+    from bicrit.weights import discrete_table, make_critical_pair, power_tail
+    specs = [
+        (point_mass(1.0), point_mass(1.0, "w"), 1.0),
+        (discrete_table([1.0, 2.0], [0.5, 0.5]), point_mass(1.0, "w"), 2.0),
+        (exponential(1.0),
+         discrete_table([0.5, 1.0, 2.0], [0.25, 0.5, 0.25], "w"), 0.5),
+        (power_tail(1.5, 0.5, 1.0), point_mass(1.0, "w"), 1.0),
+    ]
+    rel = 1e-13
+    replicates = exact_bands = 0
+    for spec_b, spec_w, theta in specs:
+        for n in (50, 300):
+            pair = make_critical_pair(spec_b, spec_w, theta, n)
+            for seed in range(40):
+                fast = harness._masses_only_replicate(pair, 3, seed)
+                full = harness._full_replicate(pair, 3, seed)
+                coupling = sample_conditioned(pair, seed)
+                y_mass = lifo.component_masses(
+                    coupling.black_weights, coupling.white_weights, pair.z,
+                    lifo.ClockSet(coupling.black_clocks,
+                                  coupling.white_clocks))[0]
+                where = (spec_b.kind, spec_w.kind, n, seed)
+                assert fast.kappa == full.kappa == len(y_mass), where
+                assert len(fast.top_by_x) == len(full.top_by_x), where
+                for a, b in zip(fast.top_by_x, full.top_by_x):
+                    assert (a.x_mass, a.root_black) == (
+                        b.x_mass, b.root_black), where
+                    assert a.y_mass == pytest.approx(b.y_mass, rel=rel), where
+                    first = 1 + np.count_nonzero(y_mass > a.y_mass * (1 + rel))
+                    last = np.count_nonzero(y_mass >= a.y_mass * (1 - rel))
+                    assert first <= a.y_rank <= last, where
+                    assert first <= b.y_rank <= last, where
+                    exact_bands += first == last
+                assert fast.y_ranked_masses == pytest.approx(
+                    full.y_ranked_masses, rel=rel), where
+                replicates += 1
+    assert replicates == 320
+    assert exact_bands > 600

@@ -210,6 +210,48 @@ def test_clock_collision_redraw():
     assert len(np.unique(both)) == len(both)
 
 
+def _clock_arrays():
+    """Random arrays, and arrays with exact ties: all equal, the two
+    smallest equal, the two largest equal, and few distinct values."""
+    rng = np.random.default_rng(31)
+    for size in (0, 1, 2, 3, 17, 1000):
+        a = rng.exponential(1.0, size)
+        yield a
+        yield np.full(size, 0.5)
+        if size >= 2:
+            front, end = a.copy(), a.copy()
+            front[np.argsort(a)[1]] = a.min()
+            end[np.argsort(a)[-2]] = a.max()
+            yield front
+            yield end
+        yield rng.integers(0, 4, size).astype(float)
+
+
+def test_clock_order_equals_stable_argsort():
+    for a in _clock_arrays():
+        assert np.array_equal(lifo.clock_order(a),
+                              np.argsort(a, kind="stable")), a
+
+
+def test_dial_orders_are_stable_clock_orders_under_ties():
+    # clocks rounded onto a coarse grid tie often; the whites beyond the
+    # dial are sorted apart from those under it
+    rng = np.random.default_rng(32)
+    for _ in range(60):
+        n, m = int(rng.integers(1, 300)), int(rng.integers(1, 300))
+        x = rng.uniform(0.5, 2.0, n)
+        y = rng.uniform(0.5, 2.0, m)
+        z = math.sqrt(n * m)
+        clocks = lifo.sample_clocks(x, y, z, rng)
+        clocks = lifo.ClockSet(np.round(clocks.black, 1),
+                               np.round(clocks.white, 1))
+        rec = lifo.explore(x, y, z, clocks)
+        assert np.array_equal(rec.order,
+                              np.argsort(clocks.black, kind="stable"))
+        assert np.array_equal(rec.worder,
+                              np.argsort(clocks.white, kind="stable"))
+
+
 def test_assembled_law_total_variation_small_instance():
     # six-cell instance: exhaustive product law over 64 edge sets
     import itertools
