@@ -275,8 +275,16 @@ def height_from_z(path: GridPath, params: LimitParams,
     Regime 1 admits the exact transform (2 / c_1) * (Z - running minimum).
     The stable regimes use the occupation estimator: the time spent by the
     past path within epsilon of its future minimum, divided by epsilon.
-    The sweep is quadratic in the grid size; ``stride`` evaluates every
-    stride-th grid point and holds the value in between.
+
+    With ``w = z + epsilon``, grid point i counts at j iff ``z_i <= w_k``
+    for every k in [i, j], and once it stops counting it never counts
+    again.  So each i gets a death index, the first k with ``w_k < z_i``,
+    found for all i at once by binary lifting on a sparse table of window
+    minima of w: O(n log n) time and memory, freed on return.  Rounding is
+    monotone, so ``fl(min z_k + epsilon) = min fl(z_k + epsilon)`` and the
+    counts are the ones a direct sweep of each future minimum gives.
+    ``stride`` does not save work: it holds the value of every stride-th
+    grid point over the stride-1 points that follow it.
     """
     if params.regime == 1:
         values = 2.0 / params.jump_coeff * path.reflected()
@@ -293,12 +301,21 @@ def height_from_z(path: GridPath, params: LimitParams,
                            "scales of the floor; estimates are unreliable")
     z = path.values
     n = len(z)
+    # level l holds min(w[k : k + 2^l]) at k, padded with nan to n + 1 so
+    # that a window past the end, or one holding a nan, never passes
+    table = [np.append(z + epsilon, np.nan)]
+    while 2 ** len(table) <= n:
+        prev, half = table[-1], 2 ** (len(table) - 1)
+        level = np.full(n + 1, np.nan)
+        np.minimum(prev[:-half], prev[half:], out=level[:-half])
+        table.append(level)
+    death = np.arange(n)
+    for l in range(len(table) - 1, -1, -1):
+        death += (table[l][death] >= z) << l
+    del table
+    count = np.arange(1, n + 1) - np.cumsum(np.bincount(death, minlength=n + 1))[:n]
     out = np.zeros(n)
-    for j in range(1, n, stride):
-        future_min = np.minimum.accumulate(z[j::-1])[::-1]
-        out[j] = h / epsilon * np.count_nonzero(z[:j + 1] <= future_min + epsilon)
-        if stride > 1:
-            out[j:min(j + stride, n)] = out[j]
+    out[1:] = h / epsilon * count[(np.arange(1, n) - 1) // stride * stride + 1]
     return GridPath(path.times, out, path.step, meta=meta)
 
 

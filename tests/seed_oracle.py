@@ -1,9 +1,10 @@
 """Object-based reference implementations of the exploration record, the
 sigma transfer, the Poissonised surplus sampler, the component ranking of a
-replicate and the excursion ranking of a limit path.
+replicate, and the excursion ranking and occupation height of a limit path.
 
 These are the straightforward event-by-event versions the array-native code
-in ``bicrit.lifo``, ``bicrit.encoding`` and ``bicrit.harness`` replaced.  The
+in ``bicrit.lifo``, ``bicrit.encoding``, ``bicrit.harness`` and
+``bicrit.limit_sim`` replaced.  The
 oracle tests require the fast paths to reproduce them bit for bit.  Only the
 point-atom lookup differs from the first version: it uses the piece index
 carried from the exploration instead of an equality match on the piece start
@@ -337,4 +338,20 @@ def rank_excursions(path: GridPath) -> list[RankedExcursion]:
         if abs(out[i].length - out[i + 1].length) <= path.step:
             out[i].near_tie = True
             out[i + 1].near_tie = True
+    return out
+
+
+def occupation_height(path: GridPath, epsilon: float, stride: int) -> np.ndarray:
+    """The quadratic occupation sweep: at every stride-th grid point j, one
+    running minimum of the path back from j, then a count of the past
+    points within epsilon of it, held over the stride - 1 points after j."""
+    z = path.values
+    n = len(z)
+    out = np.zeros(n)
+    for j in range(1, n, stride):
+        future_min = np.minimum.accumulate(z[j::-1])[::-1]
+        out[j] = path.step / epsilon * np.count_nonzero(
+            z[:j + 1] <= future_min + epsilon)
+        if stride > 1:
+            out[j:min(j + stride, n)] = out[j]
     return out

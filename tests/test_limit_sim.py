@@ -154,6 +154,47 @@ def test_height_estimator_warns_near_noise_floor():
     assert "warning" in h.meta
 
 
+def _height_oracle_cases():
+    """(path, params, epsilon or None for the default, stride), fixed before
+    the first comparison: simulated paths of regimes 2 and 3 over a grid
+    of alpha, stride and epsilon, then synthetic paths, the lattice ones
+    with exact ties z_k + epsilon == z_i, and paths of one and two points."""
+    for regime in (2, 3):
+        for alpha in (1.05, 1.5, 1.95):
+            p = ls.LimitParams(regime=regime, theta=1.0, alpha=alpha, c_b=1.0,
+                               c_w=0.5 if regime == 3 else 0.0)
+            path = ls.simulate_z(p, 1.0, 1e-3, seed=int(100 * alpha) + regime)
+            floor = (p.psi_coeff * path.step) ** (1.0 / p.alpha)
+            for stride in (1, 5, 10):
+                for eps in (None, floor, 0.05):
+                    yield path, p, eps, stride
+    p = stable_params()
+    step = 1e-2
+    rng = np.random.default_rng(5)
+    lattice = np.concatenate([[0], np.cumsum(rng.integers(-2, 3, 400))])
+    for values, eps in ((np.zeros(300), 0.1),
+                        (-np.arange(300) * 0.01, 0.1),
+                        (np.arange(300) * 0.01, 0.1),
+                        (lattice * 0.25, 0.25),
+                        (lattice * 0.1, 0.1),
+                        (lattice * 0.1 + 0.05, 0.1),
+                        (np.zeros(1), 0.1),
+                        (np.array([0.0, -1.0]), 0.5),
+                        (np.array([0.0, 1.0]), 0.5),
+                        (np.array([0.0, -0.5]), 0.5)):
+        path = ls.GridPath(np.arange(len(values)) * step, values, step)
+        for stride in (1, 5):
+            yield path, p, eps, stride
+
+
+def test_height_from_z_equals_sweep_oracle():
+    import seed_oracle as oracle
+    for path, p, eps, stride in _height_oracle_cases():
+        h = ls.height_from_z(path, p, epsilon=eps, stride=stride)
+        want = oracle.occupation_height(path, h.meta["epsilon"], stride)
+        assert np.array_equal(h.values, want), (p, eps, stride, len(path.values))
+
+
 def test_rank_excursions_cases():
     step = 1e-3
     times = np.arange(2001) * step
