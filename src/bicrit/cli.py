@@ -91,8 +91,7 @@ def _cmd_limit(args) -> int:
                 fh.write(f"{i},{rank},{exc.g!r},{exc.d!r},{exc.length!r}\n")
             if i < args.keep_paths:
                 stride = max(1, len(path.times) // 2000)
-                height = height_from_z(path, params, epsilon=args.epsilon,
-                                       stride=stride if params.regime > 1 else 1)
+                height = height_from_z(path, params, epsilon=args.epsilon)
                 if "warning" in height.meta:
                     warning, warned = height.meta["warning"], warned + 1
                 table = np.column_stack([path.times[::stride],

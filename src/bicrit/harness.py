@@ -301,7 +301,11 @@ def poissonized_surplus(record: lifo.ExplorationRecord,
 def rank_components(x_mass: np.ndarray, y_mass: np.ndarray, top_k: int):
     """The ``top_k`` components by x mass, the 1-based rank by y mass of
     each of them, and the ``top_k`` largest y masses, descending.  Both
-    rankings are stable: equal masses keep exploration order.
+    rankings are stable: equal masses keep exploration order.  Equal means
+    equal as floats.  y masses that are equal in exact arithmetic, such as
+    components with as many point-mass whites, can come out a few ulps
+    apart from the summation, and then rank in the order rounding gives
+    them; ROADMAP item 9(b) takes that up.
 
     Only what is reported is sorted.  The components with x mass at or
     above the ``top_k``-th largest hold the top ``top_k``; they are taken in

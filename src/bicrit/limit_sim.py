@@ -284,7 +284,7 @@ def height_from_z(path: GridPath, params: LimitParams,
     monotone, so ``fl(min z_k + epsilon) = min fl(z_k + epsilon)`` and the
     counts are the ones a direct sweep of each future minimum gives.
     ``stride`` does not save work: it holds the value of every stride-th
-    grid point over the stride-1 points that follow it.
+    grid point over the stride - 1 points that follow it.
     """
     if params.regime == 1:
         values = 2.0 / params.jump_coeff * path.reflected()

@@ -5,11 +5,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import bicrit
 from bicrit.cli import main
 from bicrit.harness import ExperimentConfig
+from bicrit.limit_sim import LimitParams, height_from_z, simulate_z
 from bicrit.weights import point_mass
 
 
@@ -45,6 +47,23 @@ def test_cli_limit(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "lim" / "excursions.csv").exists()
     assert (tmp_path / "lim" / "path0.csv").exists()
+
+
+def test_cli_limit_writes_the_height_at_each_row_time(tmp_path, capsys):
+    """A kept path of 10,001 grid points is written every 5th row; each row's
+    height is the estimate at that row's own grid point."""
+    out = tmp_path / "lim"
+    assert main(["limit", "--regime", "2", "--paths", "2", "--horizon", "1.0",
+                 "--step", "1e-4", "--keep-paths", "2", "--seed", "3",
+                 "--out", str(out)]) == 0
+    params = LimitParams(regime=2, theta=1.0, alpha=1.5, c_b=1.0)
+    for i, child in enumerate(np.random.SeedSequence(3).spawn(2)):
+        path = simulate_z(params, 1.0, 1e-4, child)
+        height = height_from_z(path, params).values
+        table = np.loadtxt(out / f"path{i}.csv", delimiter=",", skiprows=1)
+        rows = np.arange(0, len(path.times), 5)
+        assert np.array_equal(table[:, 0], path.times[rows])
+        assert np.array_equal(table[:, 2], height[rows])
 
 
 def test_cli_clustering(capsys):
