@@ -4,11 +4,11 @@ replicate, and the excursion ranking and occupation height of a limit path.
 
 These are the straightforward event-by-event versions the array-native code
 in ``bicrit.lifo``, ``bicrit.encoding``, ``bicrit.harness`` and
-``bicrit.limit_sim`` replaced.  The
-oracle tests require the fast paths to reproduce them bit for bit.  Only the
-point-atom lookup differs from the first version: it uses the piece index
-carried from the exploration instead of an equality match on the piece start
-time, which picks the same piece unless that piece has zero length.
+``bicrit.limit_sim`` replaced.  The oracle tests require the fast paths to
+reproduce them bit for bit.  Only the point-atom lookup differs from the
+first version: it uses the piece index carried from the exploration instead
+of an equality match on the piece start time, which picks the same piece
+unless that piece has zero length.
 """
 
 from __future__ import annotations
