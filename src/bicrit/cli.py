@@ -138,7 +138,13 @@ def _cmd_check(args) -> int:
         for res in results:
             if not res.ok:
                 print(f"first failing instance: seed={res.seed} "
-                      f"n={res.n} m={res.m}")
+                      f"n={res.n} m={res.m} max_side={args.max_side}")
+                for o in res.outcomes:
+                    if not o.ok:
+                        print(f"  failed {o.name}"
+                              + (f": {o.detail}" if o.detail else ""))
+                print("rerun: from bicrit import checks; checks.check_instance("
+                      f"{res.seed}, max_side={args.max_side})")
                 break
         return 1
     return 0

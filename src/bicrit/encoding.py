@@ -237,25 +237,16 @@ def height_process(z: StepPath) -> HeightPath:
 
 
 def literal_height(z: StepPath, t: float) -> int:
-    """Quadratic transcription of the record condition, used as an oracle:
+    """Direct transcription of the record condition, used as an oracle:
     count jump times s <= t whose pre-jump level lies strictly below the
-    path minimum over [s, t]."""
+    path minimum over [s, t].  The queue load falls between jumps, so that
+    minimum is the least of the later pre-jump levels up to t and of the
+    value at t: one suffix minimum over the pre-jump levels, independent
+    of ``height_process``'s stack."""
     times = z.jump_times
-    count = 0
-    for i in range(len(times)):
-        s = times[i]
-        if s > t:
-            break
-        pre = float(z.left_limit(s))
-        inf_val = float(z.value(t))
-        for j in range(i + 1, len(times)):
-            u = times[j]
-            if u > t:
-                break
-            inf_val = min(inf_val, float(z.left_limit(u)))
-        if pre < inf_val:
-            count += 1
-    return count
+    pre = z.left_limit(times[:np.searchsorted(times, t, side="right")])
+    suf = np.minimum.accumulate(np.append(pre, z.value(t))[::-1])[::-1]
+    return int(np.count_nonzero(pre < suf[1:]))
 
 
 def vertex_heights(record: ExplorationRecord, height: HeightPath) -> np.ndarray:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .weights import sample_weights
 
-#: refuse to materialise Bernoulli matrices above this many cells
+#: refuse instances above this many cells: ``sample_direct`` draws one
+#: uniform per cell, so the cap bounds its time (its memory is one block)
 _DENSE_CELL_CAP = 50_000_000
 
 INF = math.inf
@@ -116,17 +117,36 @@ class BipartiteGraph:
 
 def sample_direct(x, y, z: float, seed=None) -> BipartiteGraph:
     """Sample the graph edge by edge: each (i, j) present independently
-    with probability 1 - exp(-x_i y_j / z)."""
+    with probability 1 - exp(-x_i y_j / z).
+
+    The uniforms are drawn in consecutive blocks of whole rows, about 2**16
+    cells each.  A Generator's float64 stream is the same in blocks as in
+    one (n, m) draw, so the edges are those of the dense test
+    ``rng.random((n, m)) < p``, in its row-major order.  Within a block only
+    candidates are tested: every cell of row i has
+    p_ij <= t_i = -expm1(-(x_i * max y) / z) * (1 + 1e-9), because the IEEE
+    product and quotient are monotone and expm1 is monotone to within an
+    ulp, so each hit u_ij < p_ij is a candidate u_ij < t_i.  Memory is
+    O(block) and time O(n m)."""
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = len(x), len(y)
     if n * m > _DENSE_CELL_CAP:
         raise ValueError("instance too large for the dense direct sampler")
-    p = -np.expm1(-np.outer(x, y) / z)
-    hit = rng.random((n, m)) < p
-    ii, jj = np.nonzero(hit)
-    return BipartiteGraph(x, y, list(zip(ii.tolist(), jj.tolist())), z)
+    edges: list[tuple[int, int]] = []
+    if n and m:
+        # fmax skips a nan weight, whose cells never hit in the dense draw
+        t = -np.expm1(-(x * np.fmax.reduce(y)) / z) * (1 + 1e-9)
+        rows = max(1, 65_536 // m)
+        for r0 in range(0, n, rows):
+            u = rng.random((min(rows, n - r0), m))
+            k = np.flatnonzero(u < t[r0:r0 + len(u), None])
+            i, j = np.divmod(k, m)
+            i += r0
+            hit = u.ravel()[k] < -np.expm1(-(x[i] * y[j]) / z)
+            edges += zip(i[hit].tolist(), j[hit].tolist())
+    return BipartiteGraph(x, y, edges, z)
 
 
 @dataclass

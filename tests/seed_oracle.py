@@ -1,6 +1,8 @@
 """Object-based reference implementations of the exploration record, the
 sigma transfer, the Poissonised surplus sampler, the component ranking of a
-replicate, and the excursion ranking and occupation height of a limit path.
+replicate, the excursion ranking and occupation height of a limit path, the
+dense direct sampler of the bipartite graph (``sample_direct``) and the
+scalar record-condition loop of the height oracle (``literal_height``).
 
 These are the straightforward event-by-event versions the array-native code
 in ``bicrit.lifo``, ``bicrit.encoding``, ``bicrit.harness`` and
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bicrit import encoding
+from bicrit.graph_core import BipartiteGraph
 from bicrit.lifo import ClockSet
 from bicrit.limit_sim import GridPath, MarkSet, RankedExcursion
 
@@ -355,3 +358,36 @@ def occupation_height(path: GridPath, epsilon: float, stride: int) -> np.ndarray
         if stride > 1:
             out[j:min(j + stride, n)] = out[j]
     return out
+
+
+def sample_direct(x, y, z: float, seed) -> BipartiteGraph:
+    """The dense direct sampler: one n x m matrix of edge probabilities and
+    one (n, m) draw of uniforms, hits listed by ``np.nonzero``."""
+    rng = np.random.default_rng(seed)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    p = -np.expm1(-np.outer(x, y) / z)
+    hit = rng.random((len(x), len(y))) < p
+    ii, jj = np.nonzero(hit)
+    return BipartiteGraph(x, y, list(zip(ii.tolist(), jj.tolist())), z)
+
+
+def literal_height(z: encoding.StepPath, t: float) -> int:
+    """The record condition one jump at a time, with one scalar
+    ``left_limit`` call per pair of jumps up to t."""
+    times = z.jump_times
+    count = 0
+    for i in range(len(times)):
+        s = times[i]
+        if s > t:
+            break
+        pre = float(z.left_limit(s))
+        inf_val = float(z.value(t))
+        for j in range(i + 1, len(times)):
+            u = times[j]
+            if u > t:
+                break
+            inf_val = min(inf_val, float(z.left_limit(u)))
+        if pre < inf_val:
+            count += 1
+    return count

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bicrit
+from bicrit import checks, encoding
 from bicrit.cli import main
 from bicrit.harness import ExperimentConfig
 from bicrit.limit_sim import LimitParams, height_from_z, simulate_z
@@ -38,6 +39,28 @@ def test_cli_check(capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "PASS load-composition" in text
+
+
+def test_cli_check_failure_prints_a_replayable_call(monkeypatch, capsys):
+    """The first failing instance of a forced failure (the height oracle
+    made off by one on paths with an odd number of jumps) is rerun from
+    the seed and max_side that ``check`` prints, with the same failures."""
+    real = encoding.literal_height
+    monkeypatch.setattr(encoding, "literal_height",
+                        lambda z, t: real(z, t) + len(z.jump_times) % 2)
+    assert main(["check", "--instances", "6", "--seed", "2",
+                 "--max-side", "9"]) == 1
+    text = capsys.readouterr().out
+    first = re.search(r"first failing instance: seed=(\d+) n=(\d+) m=(\d+) "
+                      r"max_side=(\d+)", text)
+    call = re.search(r"checks\.check_instance\((\d+), max_side=(\d+)\)", text)
+    seed, n, m, side = (int(v) for v in first.groups())
+    assert (seed, side) == tuple(int(v) for v in call.groups())
+    printed = re.findall(r"^  failed ([\w-]+)", text, re.M)
+    res = checks.check_instance(seed, max_side=side)
+    assert (res.n, res.m) == (n, m)
+    assert printed == [o.name for o in res.outcomes if not o.ok]
+    assert printed == ["height-stack-vs-literal"]
 
 
 def test_cli_limit(tmp_path, capsys):

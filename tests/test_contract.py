@@ -1,5 +1,6 @@
-"""Pinned behaviour contract: report hashes, the limit excursion table and
-the KS values of a small ``compare``.
+"""Pinned behaviour contract: report hashes, the limit excursion table, the
+KS values of a small ``compare`` and the wedge counts of one ``clustering``
+estimate.
 
 Every pin was computed with numpy 2.4.6, scipy 1.17.1 and Python 3.11.7.
 A change that moves a pin must edit the pin in the same diff and say in
@@ -14,6 +15,7 @@ import pytest
 
 from bicrit import harness
 from bicrit.cli import main
+from bicrit.graph_core import clustering_estimate
 from bicrit.limit_sim import LimitParams
 from bicrit.weights import (discrete_table, exponential, make_critical_pair,
                             point_mass, power_tail, spec_to_dict)
@@ -79,6 +81,10 @@ COMPARE_KS_Y = [0.15, 0.18333333333333332]
 COMPARE_KS_X = [0.2, 0.21666666666666667]
 COMPARE_EXIT = 1                # a KS distance exceeds 0.1
 
+#: (wedges, closed, graphs) of the desk laws at n = m = 2000, 5000 trials,
+#: seed 0; it holds the direct sampler's random stream
+CLUSTERING_COUNTS = (5766, 2973, 3)
+
 
 def _compare_config():
     return _config(*DESK, 200, 60, "masses", seed=5, paths=60)
@@ -109,3 +115,9 @@ def test_compare_ks_values_are_pinned(tmp_path, capsys):
     path = tmp_path / "compare.json"
     path.write_text(json.dumps(cfg.to_dict()))
     assert main(["compare", "--config", str(path)]) == COMPARE_EXIT
+
+
+def test_clustering_counts_are_pinned():
+    est = clustering_estimate(point_mass(1.0), point_mass(1.0), 2000, 2000,
+                              trials=5000, seed=0)
+    assert (est.wedges, est.closed, est.graphs) == CLUSTERING_COUNTS
